@@ -161,9 +161,11 @@ int CmdStats(int argc, char** argv) {
       ais::PreprocessAndSegment(records.value(), {}, &clean_stats);
   std::printf("records: %zu (+%zu unparseable rows skipped)\n",
               records.value().size(), skipped);
-  std::printf("cleaning: %zu invalid coords, %zu invalid speeds, %zu "
-              "duplicates, %zu out-of-order, %zu speed spikes -> %zu kept\n",
-              clean_stats.invalid_coords, clean_stats.invalid_speed,
+  std::printf("cleaning: %zu invalid coords, %zu non-finite sog/cog, %zu "
+              "invalid speeds, %zu duplicates, %zu out-of-order, %zu speed "
+              "spikes -> %zu kept\n",
+              clean_stats.invalid_coords, clean_stats.non_finite_motion,
+              clean_stats.invalid_speed,
               clean_stats.duplicates, clean_stats.out_of_order,
               clean_stats.speed_spikes, clean_stats.kept);
   std::printf("trips: %zu (%zu positions, %zu vessels)\n", trips.size(),

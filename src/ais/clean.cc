@@ -1,5 +1,6 @@
 #include "ais/clean.h"
 
+#include <cmath>
 #include <map>
 
 #include "geo/latlng.h"
@@ -29,6 +30,10 @@ std::vector<AisRecord> CleanVesselRecords(const std::vector<AisRecord>& input,
   for (const AisRecord& r : input) {
     if (!r.pos.IsValid()) {
       ++local.invalid_coords;
+      continue;
+    }
+    if (!std::isfinite(r.sog) || !std::isfinite(r.cog)) {
+      ++local.non_finite_motion;
       continue;
     }
     if (r.sog < 0 || r.sog > options.max_sog_knots) {
@@ -85,6 +90,7 @@ std::vector<AisRecord> CleanStream(const std::vector<AisRecord>& input,
     std::vector<AisRecord> cleaned =
         CleanVesselRecords(records, options, &vessel_stats);
     total.invalid_coords += vessel_stats.invalid_coords;
+    total.non_finite_motion += vessel_stats.non_finite_motion;
     total.invalid_speed += vessel_stats.invalid_speed;
     total.duplicates += vessel_stats.duplicates;
     total.out_of_order += vessel_stats.out_of_order;

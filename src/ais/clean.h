@@ -25,6 +25,8 @@ struct CleanOptions {
 struct CleanStats {
   size_t input = 0;
   size_t invalid_coords = 0;
+  /// NaN or infinite sog/cog (CSV readers parse "nan" and "inf").
+  size_t non_finite_motion = 0;
   size_t invalid_speed = 0;
   size_t duplicates = 0;
   size_t out_of_order = 0;

@@ -103,6 +103,7 @@ std::vector<Trip> PreprocessAndSegment(const std::vector<AisRecord>& raw,
     const std::vector<AisRecord> cleaned =
         CleanVesselRecords(records, options.clean, &vs);
     total.invalid_coords += vs.invalid_coords;
+    total.non_finite_motion += vs.non_finite_motion;
     total.invalid_speed += vs.invalid_speed;
     total.duplicates += vs.duplicates;
     total.out_of_order += vs.out_of_order;

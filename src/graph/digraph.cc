@@ -5,13 +5,12 @@
 namespace habit::graph {
 
 bool Digraph::AddNode(NodeId id, NodeAttrs attrs) {
-  return nodes_.emplace(id, attrs).second;
+  return nodes_.try_emplace(id, Node{attrs, {}}).second;
 }
 
 void Digraph::AddEdge(NodeId u, NodeId v, EdgeAttrs attrs) {
-  AddNode(u);
-  AddNode(v);
-  auto& out = adj_[u];
+  nodes_.try_emplace(v);
+  auto& out = nodes_[u].out;
   for (auto& [nbr, existing] : out) {
     if (nbr == v) {
       existing = attrs;
@@ -23,12 +22,7 @@ void Digraph::AddEdge(NodeId u, NodeId v, EdgeAttrs attrs) {
 }
 
 bool Digraph::HasEdge(NodeId u, NodeId v) const {
-  auto it = adj_.find(u);
-  if (it == adj_.end()) return false;
-  for (const auto& [nbr, attrs] : it->second) {
-    if (nbr == v) return true;
-  }
-  return false;
+  return GetEdge(u, v).ok();
 }
 
 Result<NodeAttrs> Digraph::GetNode(NodeId id) const {
@@ -36,15 +30,12 @@ Result<NodeAttrs> Digraph::GetNode(NodeId id) const {
   if (it == nodes_.end()) {
     return Status::NotFound("node " + std::to_string(id) + " not in graph");
   }
-  return it->second;
+  return it->second.attrs;
 }
 
 Result<EdgeAttrs> Digraph::GetEdge(NodeId u, NodeId v) const {
-  auto it = adj_.find(u);
-  if (it != adj_.end()) {
-    for (const auto& [nbr, attrs] : it->second) {
-      if (nbr == v) return attrs;
-    }
+  for (const auto& [nbr, attrs] : OutEdges(u)) {
+    if (nbr == v) return attrs;
   }
   return Status::NotFound("edge not in graph");
 }
@@ -54,15 +45,15 @@ Status Digraph::SetNodeAttrs(NodeId id, const NodeAttrs& attrs) {
   if (it == nodes_.end()) {
     return Status::NotFound("node " + std::to_string(id) + " not in graph");
   }
-  it->second = attrs;
+  it->second.attrs = attrs;
   return Status::OK();
 }
 
 const std::vector<std::pair<NodeId, EdgeAttrs>>& Digraph::OutEdges(
     NodeId u) const {
   static const std::vector<std::pair<NodeId, EdgeAttrs>> empty;
-  auto it = adj_.find(u);
-  return it == adj_.end() ? empty : it->second;
+  auto it = nodes_.find(u);
+  return it == nodes_.end() ? empty : it->second.out;
 }
 
 CompactGraph Digraph::Freeze(bool keep_attrs) const {
@@ -83,11 +74,11 @@ CompactGraph Digraph::Freeze(bool keep_attrs) const {
   a.in_degree.assign(n, 0);
 
   // Pass 1: out-degrees -> prefix sums.
+  std::vector<const Node*> node_of(n);
   for (NodeIndex u = 0; u < n; ++u) {
-    const auto it = adj_.find(a.node_ids[u]);
+    node_of[u] = &nodes_.find(a.node_ids[u])->second;
     a.row_offsets[u + 1] =
-        a.row_offsets[u] +
-        static_cast<uint32_t>(it == adj_.end() ? 0 : it->second.size());
+        a.row_offsets[u] + static_cast<uint32_t>(node_of[u]->out.size());
   }
 
   // Pass 2: fill edge rows, then sort each row by target index so lookups
@@ -100,15 +91,13 @@ CompactGraph Digraph::Freeze(bool keep_attrs) const {
     a.edge_grid_distance.resize(m);
   }
   for (NodeIndex u = 0; u < n; ++u) {
-    const auto it = adj_.find(a.node_ids[u]);
-    if (it == adj_.end()) continue;
     struct Out {
       NodeIndex dst;
       const EdgeAttrs* attrs;
     };
     std::vector<Out> row;
-    row.reserve(it->second.size());
-    for (const auto& [v, attrs] : it->second) {
+    row.reserve(node_of[u]->out.size());
+    for (const auto& [v, attrs] : node_of[u]->out) {
       row.push_back({index_of(v), &attrs});
     }
     std::sort(row.begin(), row.end(),
@@ -134,7 +123,7 @@ CompactGraph Digraph::Freeze(bool keep_attrs) const {
     a.median_sog.resize(n);
     a.median_cog.resize(n);
     for (NodeIndex u = 0; u < n; ++u) {
-      const NodeAttrs& attrs = nodes_.at(a.node_ids[u]);
+      const NodeAttrs& attrs = node_of[u]->attrs;
       a.median_pos[u] = attrs.median_pos;
       a.center_pos[u] = attrs.center_pos;
       a.message_count[u] = attrs.message_count;
@@ -155,9 +144,10 @@ size_t Digraph::SerializedSizeBytes() const {
 
 size_t Digraph::SizeBytes() const {
   size_t bytes = nodes_.size() * (sizeof(NodeId) + sizeof(NodeAttrs) + 16);
-  for (const auto& [u, out] : adj_) {
+  for (const auto& [u, node] : nodes_) {
+    if (node.out.empty()) continue;
     bytes += sizeof(NodeId) + 24 +
-             out.size() * (sizeof(NodeId) + sizeof(EdgeAttrs));
+             node.out.size() * (sizeof(NodeId) + sizeof(EdgeAttrs));
   }
   return bytes;
 }

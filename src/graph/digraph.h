@@ -45,15 +45,15 @@ class Digraph {
   /// map's, i.e. unspecified.
   template <typename Fn>
   void ForEachNode(Fn&& fn) const {
-    for (const auto& [id, attrs] : nodes_) fn(id, attrs);
+    for (const auto& [id, node] : nodes_) fn(id, node.attrs);
   }
 
   /// Applies `fn(NodeId src, NodeId dst, const EdgeAttrs&)` to every
   /// directed edge.
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
-    for (const auto& [u, out] : adj_) {
-      for (const auto& [v, attrs] : out) fn(u, v, attrs);
+    for (const auto& [u, node] : nodes_) {
+      for (const auto& [v, attrs] : node.out) fn(u, v, attrs);
     }
   }
 
@@ -76,8 +76,13 @@ class Digraph {
   size_t SerializedSizeBytes() const;
 
  private:
-  std::unordered_map<NodeId, NodeAttrs> nodes_;
-  std::unordered_map<NodeId, std::vector<std::pair<NodeId, EdgeAttrs>>> adj_;
+  // One map entry per node holds its attributes and out-edges, so adding
+  // an edge or freezing a node costs one lookup per endpoint.
+  struct Node {
+    NodeAttrs attrs;
+    std::vector<std::pair<NodeId, EdgeAttrs>> out;
+  };
+  std::unordered_map<NodeId, Node> nodes_;
   size_t num_edges_ = 0;
 };
 

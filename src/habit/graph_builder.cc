@@ -1,9 +1,13 @@
 #include "habit/graph_builder.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "hexgrid/hexgrid.h"
-#include "minidb/query.h"
+#include "sketch/hyperloglog.h"
+#include "sketch/quantile.h"
 
 namespace habit::core {
 
@@ -70,21 +74,84 @@ db::Table TripsToTable(const std::vector<ais::Trip>& trips, int resolution) {
   return table;
 }
 
+namespace {
+
+// The stage functions read TripsToTable's typed columns directly; a column
+// of another type would index an empty value vector, so it is refused.
+Result<const db::Column*> TypedColumn(const db::Table& table,
+                                      const std::string& name,
+                                      db::DataType type) {
+  HABIT_ASSIGN_OR_RETURN(const db::Column* col, table.GetColumn(name));
+  if (col->type() != type) {
+    return Status::InvalidArgument("column '" + name + "' holds " +
+                                   db::DataTypeToString(col->type()) +
+                                   ", expected " + db::DataTypeToString(type));
+  }
+  return col;
+}
+
+int64_t ApproxCountDistinct(std::vector<uint64_t>* keys, int precision) {
+  return static_cast<int64_t>(
+      std::llround(sketch::HyperLogLog::EstimateDistinct(*keys, precision)));
+}
+
+}  // namespace
+
 Result<db::Table> ComputeCellStats(const db::Table& ais_table,
                                    const HabitConfig& config) {
   // SELECT cell, count(*), approx_count_distinct(mmsi),
   //        median(lon), median(lat), median(sog), median(cog)
   // FROM ais GROUP BY cell
-  return db::From(ais_table)
-      .GroupBy({"cell"},
-               {{db::AggKind::kCount, "", "cnt"},
-                {db::AggKind::kApproxCountDistinct, "mmsi", "vessels"},
-                {db::AggKind::kMedianExact, "lon", "med_lon"},
-                {db::AggKind::kMedianExact, "lat", "med_lat"},
-                {db::AggKind::kMedianExact, "sog", "med_sog"},
-                {db::AggKind::kMedianExact, "cog", "med_cog"}},
-               config.hll_precision)
-      .Execute();
+  // as one sort by (cell, row) — a stable sort by cell, so every median is
+  // fed its group's values in input order — and a scan over the runs.
+  HABIT_ASSIGN_OR_RETURN(const db::Column* cell,
+                         TypedColumn(ais_table, "cell", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* mmsi,
+                         TypedColumn(ais_table, "mmsi", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* lon,
+                         TypedColumn(ais_table, "lon", db::DataType::kDouble));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* lat,
+                         TypedColumn(ais_table, "lat", db::DataType::kDouble));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* sog,
+                         TypedColumn(ais_table, "sog", db::DataType::kDouble));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* cog,
+                         TypedColumn(ais_table, "cog", db::DataType::kDouble));
+
+  const size_t n = ais_table.num_rows();
+  std::vector<std::pair<int64_t, size_t>> order(n);
+  for (size_t r = 0; r < n; ++r) order[r] = {cell->GetInt(r), r};
+  std::sort(order.begin(), order.end());
+
+  db::Table out(db::Schema{{"cell", db::DataType::kInt64},
+                           {"cnt", db::DataType::kInt64},
+                           {"vessels", db::DataType::kInt64},
+                           {"med_lon", db::DataType::kDouble},
+                           {"med_lat", db::DataType::kDouble},
+                           {"med_sog", db::DataType::kDouble},
+                           {"med_cog", db::DataType::kDouble}});
+  std::vector<uint64_t> vessels;
+  for (size_t begin = 0, end = 0; begin < n; begin = end) {
+    sketch::ExactMedian med_lon, med_lat, med_sog, med_cog;
+    vessels.clear();
+    for (end = begin; end < n && order[end].first == order[begin].first;
+         ++end) {
+      const size_t r = order[end].second;
+      vessels.push_back(static_cast<uint64_t>(mmsi->GetInt(r)));
+      med_lon.Add(lon->GetDouble(r));
+      med_lat.Add(lat->GetDouble(r));
+      med_sog.Add(sog->GetDouble(r));
+      med_cog.Add(cog->GetDouble(r));
+    }
+    out.column(0).AppendInt(order[begin].first);
+    out.column(1).AppendInt(static_cast<int64_t>(end - begin));
+    out.column(2).AppendInt(
+        ApproxCountDistinct(&vessels, config.hll_precision));
+    out.column(3).AppendDouble(med_lon.Median());
+    out.column(4).AppendDouble(med_lat.Median());
+    out.column(5).AppendDouble(med_sog.Median());
+    out.column(6).AppendDouble(med_cog.Median());
+  }
+  return out;
 }
 
 Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
@@ -94,37 +161,71 @@ Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
   // SELECT lag_cell, cell, approx_count_distinct(trip_id) AS transitions
   // FROM lagged WHERE lag_cell IS NOT NULL AND lag_cell <> cell
   // GROUP BY lag_cell, cell
+  // as a sort by (trip_id, ts, row) — a stable sort of each trip_id
+  // partition by ts — whose neighbours give the (lag_cell, cell) steps, then
+  // a sort of the steps and a scan over their runs.
   HABIT_ASSIGN_OR_RETURN(
-      db::Table grouped,
-      db::From(ais_table)
-          .WindowLag({"trip_id"}, "ts", "cell", "lag_cell")
-          .Filter(db::And(db::Not(db::IsNull(db::Col("lag_cell"))),
-                          db::Ne(db::Col("lag_cell"), db::Col("cell"))))
-          .GroupBy({"lag_cell", "cell"},
-                   {{db::AggKind::kApproxCountDistinct, "trip_id",
-                     "transitions"}},
-                   config.hll_precision)
-          .Execute());
+      const db::Column* trip_col,
+      TypedColumn(ais_table, "trip_id", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* ts_col,
+                         TypedColumn(ais_table, "ts", db::DataType::kInt64));
+  HABIT_ASSIGN_OR_RETURN(const db::Column* cell_col,
+                         TypedColumn(ais_table, "cell", db::DataType::kInt64));
 
-  // Augment with the hex grid distance of each transition
+  struct Point {
+    int64_t trip_id;
+    int64_t ts;
+    size_t row;
+    auto operator<=>(const Point&) const = default;
+  };
+  const size_t n = ais_table.num_rows();
+  std::vector<Point> points(n);
+  for (size_t r = 0; r < n; ++r) {
+    points[r] = {trip_col->GetInt(r), ts_col->GetInt(r), r};
+  }
+  std::sort(points.begin(), points.end());
+
+  struct Step {
+    int64_t lag_cell;
+    int64_t cell;
+    int64_t trip_id;
+    auto operator<=>(const Step&) const = default;
+  };
+  std::vector<Step> steps;
+  for (size_t i = 1; i < n; ++i) {
+    if (points[i].trip_id != points[i - 1].trip_id) continue;
+    const int64_t lag_cell = cell_col->GetInt(points[i - 1].row);
+    const int64_t cell = cell_col->GetInt(points[i].row);
+    if (lag_cell != cell) steps.push_back({lag_cell, cell, points[i].trip_id});
+  }
+  std::sort(steps.begin(), steps.end());
+
+  // Augment each group with the hex grid distance of its transition
   // (h3_grid_distance(lag_cl, cl) in the paper).
-  db::Schema schema = grouped.schema();
-  schema.AddField("grid_distance", db::DataType::kInt64);
-  db::Table out(schema);
-  HABIT_ASSIGN_OR_RETURN(const db::Column* lag_col,
-                         grouped.GetColumn("lag_cell"));
-  HABIT_ASSIGN_OR_RETURN(const db::Column* cell_col, grouped.GetColumn("cell"));
-  for (size_t r = 0; r < grouped.num_rows(); ++r) {
-    for (size_t c = 0; c < grouped.num_columns(); ++c) {
-      out.column(c).AppendValue(grouped.column(c).GetValue(r));
+  db::Table out(db::Schema{{"lag_cell", db::DataType::kInt64},
+                           {"cell", db::DataType::kInt64},
+                           {"transitions", db::DataType::kInt64},
+                           {"grid_distance", db::DataType::kInt64}});
+  std::vector<uint64_t> trips;
+  for (size_t begin = 0, end = 0; begin < steps.size(); begin = end) {
+    const Step& first = steps[begin];
+    trips.clear();
+    for (end = begin; end < steps.size() &&
+                      steps[end].lag_cell == first.lag_cell &&
+                      steps[end].cell == first.cell;
+         ++end) {
+      trips.push_back(static_cast<uint64_t>(steps[end].trip_id));
     }
-    const auto a = static_cast<hex::CellId>(lag_col->GetInt(r));
-    const auto b = static_cast<hex::CellId>(cell_col->GetInt(r));
-    const auto dist = hex::GridDistance(a, b);
+    out.column(0).AppendInt(first.lag_cell);
+    out.column(1).AppendInt(first.cell);
+    out.column(2).AppendInt(ApproxCountDistinct(&trips, config.hll_precision));
+    const auto dist =
+        hex::GridDistance(static_cast<hex::CellId>(first.lag_cell),
+                          static_cast<hex::CellId>(first.cell));
     if (dist.ok()) {
-      out.column(grouped.num_columns()).AppendInt(dist.value());
+      out.column(3).AppendInt(dist.value());
     } else {
-      out.column(grouped.num_columns()).AppendNull();
+      out.column(3).AppendNull();
     }
   }
   return out;
@@ -170,49 +271,68 @@ Result<graph::Digraph> BuildTransitionGraph(const db::Table& cell_stats,
   HABIT_ASSIGN_OR_RETURN(const db::Column* dist_col,
                          transition_stats.GetColumn("grid_distance"));
 
-  // Accumulate transition counts per directed cell pair. With
-  // expand_transitions, a jump of grid distance g > 1 contributes its count
-  // to every consecutive pair along the hex grid path between the two
-  // cells (the discretization skipped those cells, not the vessel).
-  struct PairHash {
-    size_t operator()(const std::pair<uint64_t, uint64_t>& p) const {
-      return std::hash<uint64_t>()(p.first * 0x9e3779b97f4a7c15ULL ^
-                                   p.second);
-    }
+  // Accumulate transition counts per directed cell pair: one step per
+  // transition, sorted, summed per run. With expand_transitions, a jump of
+  // grid distance g > 1 contributes its count to every consecutive pair
+  // along the hex grid path between the two cells (the discretization
+  // skipped those cells, not the vessel).
+  struct Step {
+    hex::CellId u;
+    hex::CellId v;
+    int64_t transitions;
   };
-  std::unordered_map<std::pair<uint64_t, uint64_t>, int64_t, PairHash> accum;
+  // The most steps row r can expand into: its grid distance.
+  const auto max_steps = [&](size_t r) -> int64_t {
+    const int64_t grid_dist = dist_col->IsValid(r) ? dist_col->GetInt(r) : 1;
+    return config.expand_transitions ? std::max<int64_t>(1, grid_dist) : 1;
+  };
+  int64_t capacity = 0;
+  for (size_t r = 0; r < transition_stats.num_rows(); ++r) {
+    capacity += max_steps(r);
+  }
+  std::vector<Step> steps;
+  steps.reserve(static_cast<size_t>(capacity));
   for (size_t r = 0; r < transition_stats.num_rows(); ++r) {
     const auto u = static_cast<hex::CellId>(lag_col->GetInt(r));
     const auto v = static_cast<hex::CellId>(to_col->GetInt(r));
     const int64_t transitions = trans_col->GetInt(r);
-    const int64_t grid_dist =
-        dist_col->IsValid(r) ? dist_col->GetInt(r) : 1;
-    if (config.expand_transitions && grid_dist > 1) {
+    if (max_steps(r) > 1) {
       auto path = hex::GridPathCells(u, v);
       if (path.ok() && path.value().size() >= 2) {
         const auto& cells = path.value();
         for (size_t i = 1; i < cells.size(); ++i) {
-          accum[{cells[i - 1], cells[i]}] += transitions;
+          steps.push_back({cells[i - 1], cells[i], transitions});
         }
         continue;
       }
     }
-    accum[{u, v}] += transitions;
+    steps.push_back({u, v, transitions});
   }
+  std::sort(steps.begin(), steps.end(), [](const Step& a, const Step& b) {
+    return std::tie(a.u, a.v) < std::tie(b.u, b.v);
+  });
 
-  for (const auto& [pair, transitions] : accum) {
-    const auto [u, v] = pair;
-    // Intermediate cells materialized by the expansion carry no AIS
-    // statistics; give them their geometric center as the median position
-    // so the inverse projection stays well-defined.
-    for (const uint64_t cell : {u, v}) {
-      if (!g.HasNode(cell)) {
-        graph::NodeAttrs attrs;
-        attrs.center_pos = hex::CellToLatLng(cell);
-        attrs.median_pos = attrs.center_pos;
-        g.AddNode(cell, attrs);
-      }
+  // Intermediate cells materialized by the expansion carry no AIS
+  // statistics; give them their geometric center as the median position so
+  // the inverse projection stays well-defined.
+  const auto add_center_node = [&g](hex::CellId cell) {
+    if (g.HasNode(cell)) return;
+    graph::NodeAttrs attrs;
+    attrs.center_pos = hex::CellToLatLng(cell);
+    attrs.median_pos = attrs.center_pos;
+    g.AddNode(cell, attrs);
+  };
+  for (size_t begin = 0, end = 0; begin < steps.size(); begin = end) {
+    const hex::CellId u = steps[begin].u;
+    const hex::CellId v = steps[begin].v;
+    int64_t transitions = 0;
+    for (end = begin; end < steps.size() && steps[end].u == u &&
+                      steps[end].v == v;
+         ++end) {
+      transitions += steps[end].transitions;
     }
+    if (begin == 0 || steps[begin - 1].u != u) add_center_node(u);
+    add_center_node(v);
     const auto dist = hex::GridDistance(u, v);
     graph::EdgeAttrs attrs;
     attrs.transitions = transitions;

@@ -1,6 +1,9 @@
-// Graph generation (Section 3.2): projects trips onto the hex grid with a
-// minidb CTE — LAG per trip, then two-level aggregation — and assembles the
-// transition graph with per-cell statistics.
+// Graph generation (Section 3.2): projects trips onto the hex grid and
+// evaluates the paper's SQL — a per-cell GROUP BY and a per-trip LAG window
+// followed by a GROUP BY over transitions — as sort-and-scan passes over the
+// trips table's columns, then assembles the transition graph with per-cell
+// statistics. Distinct counts are HyperLogLog estimates, bit-identical to a
+// dense sketch per group.
 #pragma once
 
 #include <vector>
@@ -13,18 +16,20 @@
 
 namespace habit::core {
 
-/// \brief Converts trips to the flat AIS table the CTE consumes. Columns:
+/// \brief Converts trips to the flat AIS table the stages consume. Columns:
 /// trip_id, mmsi, ts, lon, lat, sog, cog, cell (the H3 cell id at the
 /// configured resolution, stored as int64).
 db::Table TripsToTable(const std::vector<ais::Trip>& trips, int resolution);
 
 /// \brief The per-cell statistics table (group by cl):
-/// cell, cnt, vessels, med_lon, med_lat, med_sog, med_cog.
+/// cell, cnt, vessels, med_lon, med_lat, med_sog, med_cog. One stable sort
+/// by cell; each group's medians see its values in input order.
 Result<db::Table> ComputeCellStats(const db::Table& ais_table,
                                    const HabitConfig& config);
 
 /// \brief The transition statistics table (group by (lag_cl, cl), with
-/// lag_cl != cl): lag_cell, cell, transitions, grid_distance.
+/// lag_cl != cl): lag_cell, cell, transitions, grid_distance. LAG
+/// partitions by trip_id value and orders by ts, ties in input order.
 Result<db::Table> ComputeTransitionStats(const db::Table& ais_table,
                                          const HabitConfig& config);
 

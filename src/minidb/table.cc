@@ -1,7 +1,5 @@
 #include "minidb/table.h"
 
-#include <sstream>
-
 namespace habit::db {
 
 void Column::AppendInt(int64_t v) {
@@ -132,12 +130,6 @@ Result<const Column*> Table::GetColumn(const std::string& name) const {
   return &columns_[idx];
 }
 
-Result<Column*> Table::GetMutableColumn(const std::string& name) {
-  const int idx = schema_.FieldIndex(name);
-  if (idx < 0) return Status::NotFound("no column named '" + name + "'");
-  return &columns_[idx];
-}
-
 Status Table::AppendRow(const std::vector<Value>& row) {
   if (row.size() != columns_.size()) {
     return Status::InvalidArgument("row arity does not match schema");
@@ -157,27 +149,6 @@ size_t Table::SizeBytes() const {
   size_t bytes = 0;
   for (const Column& c : columns_) bytes += c.SizeBytes();
   return bytes;
-}
-
-std::string Table::ToString(size_t max_rows) const {
-  std::ostringstream os;
-  for (size_t i = 0; i < schema_.num_fields(); ++i) {
-    if (i) os << " | ";
-    os << schema_.name(i);
-  }
-  os << "\n";
-  const size_t limit = std::min(max_rows, num_rows());
-  for (size_t r = 0; r < limit; ++r) {
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      if (c) os << " | ";
-      os << columns_[c].GetValue(r).ToString();
-    }
-    os << "\n";
-  }
-  if (num_rows() > limit) {
-    os << "... (" << num_rows() - limit << " more rows)\n";
-  }
-  return os.str();
 }
 
 }  // namespace habit::db

@@ -80,7 +80,6 @@ class Table {
 
   /// Column by name; error if absent.
   Result<const Column*> GetColumn(const std::string& name) const;
-  Result<Column*> GetMutableColumn(const std::string& name);
 
   /// Appends a full row. Must match schema arity; values are coerced to the
   /// column types where possible.
@@ -91,9 +90,6 @@ class Table {
 
   /// Approximate heap footprint in bytes.
   size_t SizeBytes() const;
-
-  /// Pretty-prints up to `max_rows` rows (debugging aid).
-  std::string ToString(size_t max_rows = 10) const;
 
  private:
   Schema schema_;

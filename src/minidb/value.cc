@@ -37,27 +37,6 @@ const std::string& Value::AsString() const {
   return empty;
 }
 
-bool Value::AsBool() const {
-  if (is_int()) return std::get<int64_t>(var_) != 0;
-  if (is_double()) return std::get<double>(var_) != 0.0;
-  return false;
-}
-
-bool Value::operator<(const Value& o) const {
-  // Nulls sort first.
-  if (is_null() != o.is_null()) return is_null();
-  if (is_null()) return false;
-  const bool lhs_num = is_int() || is_double();
-  const bool rhs_num = o.is_int() || o.is_double();
-  if (lhs_num != rhs_num) return lhs_num;  // numbers before strings
-  if (lhs_num) {
-    // Keep int64 comparisons exact (doubles drop bits past 2^53).
-    if (is_int() && o.is_int()) return AsInt() < o.AsInt();
-    return AsDouble() < o.AsDouble();
-  }
-  return AsString() < o.AsString();
-}
-
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(std::get<int64_t>(var_));

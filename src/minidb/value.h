@@ -1,5 +1,7 @@
-// Scalar value model for minidb, the in-memory columnar engine that stands
-// in for DuckDB in this reproduction (see DESIGN.md).
+// Scalar value model for minidb, the in-memory columnar tables that carry
+// AIS CSV import/export and the HABIT builder's stage outputs. The paper
+// runs its builder in DuckDB; here habit/graph_builder.cc computes the same
+// aggregates directly over table columns.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +31,6 @@ class Value {
   static Value Int(int64_t v) { return Value(v); }
   static Value Real(double v) { return Value(v); }
   static Value Text(std::string v) { return Value(std::move(v)); }
-  static Value Bool(bool b) { return Value(static_cast<int64_t>(b)); }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(var_); }
   bool is_int() const { return std::holds_alternative<int64_t>(var_); }
@@ -39,15 +40,9 @@ class Value {
   int64_t AsInt() const;
   double AsDouble() const;  ///< ints are widened; strings/null -> NaN
   const std::string& AsString() const;
-  /// SQL-style truthiness: non-zero numeric; null and strings are false.
-  bool AsBool() const;
 
-  /// Equality in SQL semantics except that null == null here (used for
-  /// group-by keys and tests).
+  /// Equality in SQL semantics except that null == null here.
   bool operator==(const Value& o) const { return var_ == o.var_; }
-
-  /// Ordering for sort operators: null < int/double (numeric order) < string.
-  bool operator<(const Value& o) const;
 
   std::string ToString() const;
 

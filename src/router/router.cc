@@ -261,8 +261,7 @@ Result<std::vector<Json>> Router::CallShard(
 }
 
 Router::GroupOutcome Router::ExecuteGroup(
-    size_t shard_index, const char* strategy,
-    std::span<const api::ImputeRequest> requests) {
+    size_t shard_index, std::span<const api::ImputeRequest> requests) {
   const ShardRuntime& planned =
       shard_index == kFallback ? fallback_ : shards_[shard_index];
   const size_t planned_stats = StatsIndexFor(shard_index);
@@ -274,7 +273,7 @@ Router::GroupOutcome Router::ExecuteGroup(
   Status failure = Status::OK();
   for (int attempt = 0; attempt <= options_.retries; ++attempt) {
     auto results = CallShard(planned, planned_stats, requests);
-    if (results.ok()) return {results.MoveValue(), strategy};
+    if (results.ok()) return {results.MoveValue(), nullptr};
     failure = results.status();
     // A protocol-level rejection is deterministic (bad snapshot, bad
     // spec) — retrying the same backend cannot change the answer.
@@ -512,36 +511,30 @@ std::string Router::HandleImpute(const Request& request) {
     }
   }
 
-  // Group requests by target shard (std::map: deterministic group order,
-  // fallback's kFallback sentinel sorts last).
-  struct Group {
-    const char* strategy;
-    std::vector<size_t> indices;
-  };
-  std::map<size_t, Group> groups;
+  // Group request indices by target shard (std::map: deterministic group
+  // order, fallback's kFallback sentinel sorts last). A shard group can mix
+  // shard and halo requests; each keeps its own route.
+  std::map<size_t, std::vector<size_t>> groups;
   std::vector<RouteDecision> decisions(request.requests.size());
   for (size_t i = 0; i < request.requests.size(); ++i) {
     decisions[i] = Decide(request.requests[i]);
-    auto [it, inserted] = groups.try_emplace(
-        decisions[i].shard, Group{decisions[i].strategy, {}});
-    it->second.indices.push_back(i);
+    groups[decisions[i].shard].push_back(i);
   }
 
   // Fan out: one sub-frame per group, concurrently when there is more
   // than one (each group blocks on its own backend round trip; a slow
   // shard must not serialize behind a fast one).
-  std::vector<std::pair<size_t, Group*>> order;
+  std::vector<std::pair<size_t, const std::vector<size_t>*>> order;
   order.reserve(groups.size());
   for (auto& [shard, group] : groups) order.emplace_back(shard, &group);
   std::vector<GroupOutcome> outcomes(order.size());
   const auto run = [&](size_t g) {
     std::vector<api::ImputeRequest> sub;
-    sub.reserve(order[g].second->indices.size());
-    for (const size_t i : order[g].second->indices) {
+    sub.reserve(order[g].second->size());
+    for (const size_t i : *order[g].second) {
       sub.push_back(request.requests[i]);
     }
-    outcomes[g] =
-        ExecuteGroup(order[g].first, order[g].second->strategy, sub);
+    outcomes[g] = ExecuteGroup(order[g].first, sub);
   };
   if (order.size() == 1) {
     run(0);
@@ -561,10 +554,12 @@ std::string Router::HandleImpute(const Request& request) {
   std::vector<Json> results(request.requests.size());
   std::vector<const char*> routes(request.requests.size());
   for (size_t g = 0; g < order.size(); ++g) {
-    const Group& group = *order[g].second;
-    for (size_t k = 0; k < group.indices.size(); ++k) {
-      results[group.indices[k]] = std::move(outcomes[g].results[k]);
-      routes[group.indices[k]] = outcomes[g].strategy;
+    const std::vector<size_t>& indices = *order[g].second;
+    for (size_t k = 0; k < indices.size(); ++k) {
+      const size_t i = indices[k];
+      results[i] = std::move(outcomes[g].results[k]);
+      routes[i] = outcomes[g].failover != nullptr ? outcomes[g].failover
+                                                  : decisions[i].strategy;
     }
   }
 

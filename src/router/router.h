@@ -172,12 +172,14 @@ class Router {
 
   /// Runs one sub-frame against its planned shard with retry-then-degrade
   /// and returns per-request result objects (always `requests.size()` of
-  /// them) plus the strategy actually used for the whole group.
+  /// them). `failover` is "degraded" or "unavailable" when the planned
+  /// shard did not answer, and null when it did, so each request keeps the
+  /// route it was planned with.
   struct GroupOutcome {
     std::vector<server::Json> results;
-    const char* strategy;
+    const char* failover;
   };
-  GroupOutcome ExecuteGroup(size_t shard_index, const char* strategy,
+  GroupOutcome ExecuteGroup(size_t shard_index,
                             std::span<const api::ImputeRequest> requests)
       EXCLUDES(stats_mu_);
 

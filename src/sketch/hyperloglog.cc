@@ -74,6 +74,28 @@ double HyperLogLog::Estimate() const {
   return estimate;
 }
 
+double HyperLogLog::EstimateDistinct(std::span<uint64_t> keys,
+                                     int precision) {
+  const int p = std::clamp(precision, 4, 18);
+  const size_t m = size_t{1} << p;
+  for (uint64_t& key : keys) key = Hash64(key);
+  std::sort(keys.begin(), keys.end());
+  // The register index is the hash's top p bits, so sorted hashes visit
+  // each hit register in one run.
+  size_t hit = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i == 0 || (keys[i] >> (64 - p)) != (keys[i - 1] >> (64 - p))) ++hit;
+  }
+  if (10 * hit <= 7 * m) {
+    const size_t zeros = m - hit;
+    return static_cast<double>(m) *
+           std::log(static_cast<double>(m) / static_cast<double>(zeros));
+  }
+  HyperLogLog dense(p);
+  for (const uint64_t hash : keys) dense.AddHash(hash);
+  return dense.Estimate();
+}
+
 bool HyperLogLog::Merge(const HyperLogLog& other) {
   if (other.precision_ != precision_) return false;
   for (size_t i = 0; i < registers_.size(); ++i) {

@@ -1,6 +1,7 @@
-// Streaming quantile estimation. minidb's MEDIAN aggregate is exact by
-// default (matching DuckDB's `median`); the P^2 estimator provides a
-// constant-memory approximate alternative used in the ablation benches.
+// Streaming quantile estimation. The HABIT builder's per-cell medians are
+// exact (ExactMedian, matching DuckDB's `median`); the P^2 estimator is the
+// constant-memory alternative behind the served latency percentiles and the
+// ablation bench.
 #pragma once
 
 #include <array>

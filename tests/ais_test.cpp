@@ -2,8 +2,13 @@
 // annotation, and trip segmentation (Section 3.1 semantics).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+
 #include "ais/clean.h"
 #include "ais/events.h"
+#include "ais/io.h"
 #include "ais/segment.h"
 #include "geo/latlng.h"
 
@@ -54,6 +59,33 @@ TEST(CleanTest, DropsCorruptSpeeds) {
   const auto out = CleanVesselRecords(input, {}, &stats);
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(stats.invalid_speed, 2u);
+}
+
+TEST(CleanTest, DropsNonFiniteSogAndCogReadFromCsv) {
+  // strtod accepts "nan" and "inf", so such rows survive CSV parsing; NaN
+  // fails both sog range checks, and cog has none.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "clean_non_finite.csv")
+          .string();
+  {
+    std::ofstream csv(path);
+    csv << "mmsi,ts,lat,lon,sog,cog,type\n"
+        << "1,0,55.0,11.0,10.0,0.0,cargo\n"
+        << "1,60,55.001,11.0,nan,0.0,cargo\n"
+        << "1,120,55.002,11.0,10.0,inf,cargo\n"
+        << "1,180,55.003,11.0,10.0,0.0,cargo\n";
+  }
+  auto records = ReadAisCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records.value().size(), 4u);
+  CleanStats stats;
+  const auto out = CleanStream(records.value(), {}, &stats);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].ts, 0);
+  EXPECT_EQ(out[1].ts, 180);
+  EXPECT_EQ(stats.non_finite_motion, 2u);
+  EXPECT_EQ(stats.invalid_speed, 0u);
 }
 
 TEST(CleanTest, DropsOutOfOrderMessages) {

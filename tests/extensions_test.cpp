@@ -1,5 +1,4 @@
-// Tests for the extension features: AIS CSV I/O, hexgrid polyfill, minidb
-// joins / distinct / variance aggregates.
+// Tests for the extension features: AIS CSV I/O and hexgrid polyfill.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include "ais/io.h"
 #include "core/rng.h"
 #include "hexgrid/hexgrid.h"
-#include "minidb/query.h"
 
 namespace habit {
 namespace {
@@ -142,117 +140,6 @@ TEST(PolyfillTest, DegenerateInputs) {
   EXPECT_TRUE(hex::PolygonToCells({{55, 11}, {55.1, 11}}, 8).empty());
   EXPECT_TRUE(
       hex::PolygonToCells({{55, 11}, {55.1, 11}, {55.1, 11.1}}, 99).empty());
-}
-
-TEST(DistinctTest, DeduplicatesPreservingOrder) {
-  db::Table t(db::Schema{{"a", db::DataType::kInt64},
-                         {"b", db::DataType::kString}});
-  ASSERT_TRUE(t.AppendRow({db::Value::Int(1), db::Value::Text("x")}).ok());
-  ASSERT_TRUE(t.AppendRow({db::Value::Int(2), db::Value::Text("y")}).ok());
-  ASSERT_TRUE(t.AppendRow({db::Value::Int(1), db::Value::Text("x")}).ok());
-  ASSERT_TRUE(t.AppendRow({db::Value::Int(1), db::Value::Text("z")}).ok());
-  auto all = db::Distinct(t);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all.value().num_rows(), 3u);
-  auto by_a = db::Distinct(t, {"a"});
-  ASSERT_TRUE(by_a.ok());
-  EXPECT_EQ(by_a.value().num_rows(), 2u);
-  EXPECT_EQ(by_a.value().GetColumn("a").value()->GetInt(0), 1);
-  EXPECT_FALSE(db::Distinct(t, {"nope"}).ok());
-}
-
-TEST(HashJoinTest, InnerJoinSemantics) {
-  db::Table trips(db::Schema{{"trip_id", db::DataType::kInt64},
-                             {"mmsi", db::DataType::kInt64}});
-  ASSERT_TRUE(trips.AppendRow({db::Value::Int(1), db::Value::Int(100)}).ok());
-  ASSERT_TRUE(trips.AppendRow({db::Value::Int(2), db::Value::Int(200)}).ok());
-  ASSERT_TRUE(trips.AppendRow({db::Value::Int(3), db::Value::Int(300)}).ok());
-
-  db::Table vessels(db::Schema{{"vessel", db::DataType::kInt64},
-                               {"name", db::DataType::kString}});
-  ASSERT_TRUE(
-      vessels.AppendRow({db::Value::Int(100), db::Value::Text("alfa")}).ok());
-  ASSERT_TRUE(
-      vessels.AppendRow({db::Value::Int(300), db::Value::Text("bravo")}).ok());
-
-  auto joined = db::HashJoin(trips, "mmsi", vessels, "vessel");
-  ASSERT_TRUE(joined.ok());
-  const db::Table& j = joined.value();
-  ASSERT_EQ(j.num_rows(), 2u);  // trip 2 has no vessel
-  EXPECT_EQ(j.schema().FieldIndex("name"), 2);
-  EXPECT_EQ(j.GetColumn("name").value()->GetString(0), "alfa");
-  EXPECT_EQ(j.GetColumn("name").value()->GetString(1), "bravo");
-}
-
-TEST(HashJoinTest, NullKeysNeverMatchAndCollisionsPrefixed) {
-  db::Table left(db::Schema{{"k", db::DataType::kInt64},
-                            {"v", db::DataType::kInt64}});
-  ASSERT_TRUE(left.AppendRow({db::Value::Null(), db::Value::Int(1)}).ok());
-  ASSERT_TRUE(left.AppendRow({db::Value::Int(5), db::Value::Int(2)}).ok());
-  db::Table right(db::Schema{{"k", db::DataType::kInt64},
-                             {"v", db::DataType::kInt64}});
-  ASSERT_TRUE(right.AppendRow({db::Value::Null(), db::Value::Int(9)}).ok());
-  ASSERT_TRUE(right.AppendRow({db::Value::Int(5), db::Value::Int(8)}).ok());
-  auto joined = db::HashJoin(left, "k", right, "k");
-  ASSERT_TRUE(joined.ok());
-  ASSERT_EQ(joined.value().num_rows(), 1u);  // only k=5
-  EXPECT_GE(joined.value().schema().FieldIndex("right_v"), 0);
-  EXPECT_EQ(joined.value().GetColumn("right_v").value()->GetInt(0), 8);
-  EXPECT_FALSE(db::HashJoin(left, "nope", right, "k").ok());
-  EXPECT_FALSE(db::HashJoin(left, "k", right, "nope").ok());
-}
-
-TEST(HashJoinTest, DuplicateBuildKeysFanOut) {
-  db::Table left(db::Schema{{"k", db::DataType::kInt64}});
-  ASSERT_TRUE(left.AppendRow({db::Value::Int(7)}).ok());
-  db::Table right(db::Schema{{"k", db::DataType::kInt64},
-                             {"x", db::DataType::kInt64}});
-  ASSERT_TRUE(right.AppendRow({db::Value::Int(7), db::Value::Int(1)}).ok());
-  ASSERT_TRUE(right.AppendRow({db::Value::Int(7), db::Value::Int(2)}).ok());
-  auto joined = db::HashJoin(left, "k", right, "k");
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined.value().num_rows(), 2u);
-}
-
-TEST(VarianceAggTest, MatchesClosedForm) {
-  db::Table t(db::Schema{{"g", db::DataType::kInt64},
-                         {"v", db::DataType::kDouble}});
-  // Group 0: values 2, 4, 4, 4, 5, 5, 7, 9 -> sample var 4.571..., sd 2.14
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    ASSERT_TRUE(t.AppendRow({db::Value::Int(0), db::Value::Real(v)}).ok());
-  }
-  auto grouped = db::GroupBy(t, {"g"},
-                             {{db::AggKind::kVariance, "v", "var"},
-                              {db::AggKind::kStddev, "v", "sd"}});
-  ASSERT_TRUE(grouped.ok());
-  const double var = grouped.value().GetColumn("var").value()->GetDouble(0);
-  EXPECT_NEAR(var, 32.0 / 7.0, 1e-9);
-  EXPECT_NEAR(grouped.value().GetColumn("sd").value()->GetDouble(0),
-              std::sqrt(32.0 / 7.0), 1e-9);
-}
-
-TEST(VarianceAggTest, SingleValueIsNull) {
-  db::Table t(db::Schema{{"g", db::DataType::kInt64},
-                         {"v", db::DataType::kDouble}});
-  ASSERT_TRUE(t.AppendRow({db::Value::Int(0), db::Value::Real(3.0)}).ok());
-  auto grouped =
-      db::GroupBy(t, {"g"}, {{db::AggKind::kStddev, "v", "sd"}});
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_TRUE(grouped.value().GetColumn("sd").value()->GetValue(0).is_null());
-}
-
-TEST(VarianceAggTest, WelfordStableForLargeOffsets) {
-  // Classic catastrophic-cancellation case: huge mean, small variance.
-  db::Table t(db::Schema{{"g", db::DataType::kInt64},
-                         {"v", db::DataType::kDouble}});
-  for (double v : {1e9 + 4, 1e9 + 7, 1e9 + 13, 1e9 + 16}) {
-    ASSERT_TRUE(t.AppendRow({db::Value::Int(0), db::Value::Real(v)}).ok());
-  }
-  auto grouped =
-      db::GroupBy(t, {"g"}, {{db::AggKind::kVariance, "v", "var"}});
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_NEAR(grouped.value().GetColumn("var").value()->GetDouble(0), 30.0,
-              1e-6);
 }
 
 }  // namespace

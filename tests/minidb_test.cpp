@@ -1,15 +1,9 @@
-// Tests for minidb: value semantics, columnar storage, expressions,
-// operators (filter/project/sort/window-lag/group-by), aggregates vs brute
-// force, CSV round-trips, and the query builder.
+// Tests for minidb: value semantics, columnar storage and CSV round-trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
-#include <set>
 
-#include "core/rng.h"
 #include "minidb/csv.h"
-#include "minidb/query.h"
 
 namespace habit::db {
 namespace {
@@ -47,25 +41,6 @@ TEST(ValueTest, TypePredicatesAndAccessors) {
   EXPECT_EQ(Value::Int(5).AsDouble(), 5.0);
   EXPECT_EQ(Value::Real(2.9).AsInt(), 2);
   EXPECT_TRUE(std::isnan(Value::Text("x").AsDouble()));
-  EXPECT_TRUE(Value::Bool(true).AsBool());
-  EXPECT_FALSE(Value::Null().AsBool());
-}
-
-TEST(ValueTest, OrderingIsExactForInt64) {
-  // Regression: int64 comparisons must not round through double. These two
-  // differ only in bits below double's 53-bit mantissa.
-  const int64_t a = int64_t(0x7000000000000001LL);
-  const int64_t b = int64_t(0x7000000000000002LL);
-  EXPECT_TRUE(Value::Int(a) < Value::Int(b));
-  EXPECT_FALSE(Value::Int(b) < Value::Int(a));
-  EXPECT_FALSE(Value::Int(a) == Value::Int(b));
-}
-
-TEST(ValueTest, OrderingAcrossTypes) {
-  EXPECT_TRUE(Value::Null() < Value::Int(0));
-  EXPECT_TRUE(Value::Int(1) < Value::Text("a"));  // numbers before strings
-  EXPECT_TRUE(Value::Int(1) < Value::Real(1.5));
-  EXPECT_TRUE(Value::Text("a") < Value::Text("b"));
 }
 
 TEST(ColumnTest, TypedAppendAndNulls) {
@@ -102,255 +77,6 @@ TEST(TableTest, SchemaAndRowAccess) {
   EXPECT_DOUBLE_EQ(row[3].AsDouble(), 10.0);
   EXPECT_FALSE(t.AppendRow({Value::Int(1)}).ok());  // arity mismatch
   EXPECT_GT(t.SizeBytes(), 0u);
-}
-
-TEST(ExprTest, ArithmeticAndComparison) {
-  Table t = MakeAisLikeTable();
-  auto e = Add(Col("sog"), Lit(1.0));
-  ASSERT_TRUE(e->Bind(t).ok());
-  EXPECT_DOUBLE_EQ(e->Eval(t, 0).value().AsDouble(), 11.0);
-
-  auto cmp = Gt(Col("sog"), Lit(9.5));
-  ASSERT_TRUE(cmp->Bind(t).ok());
-  EXPECT_TRUE(cmp->Eval(t, 0).value().AsBool());
-  EXPECT_FALSE(cmp->Eval(t, 4).value().AsBool());
-}
-
-TEST(ExprTest, Int64EqualityIsExact) {
-  // Regression for the transition-dropping bug: cells that collide when
-  // rounded to double must still compare unequal.
-  Table t(Schema{{"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  const int64_t big = int64_t(0x9000000000000000ULL);
-  ASSERT_TRUE(t.AppendRow({Value::Int(big + 1), Value::Int(big + 2)}).ok());
-  auto ne = Ne(Col("a"), Col("b"));
-  ASSERT_TRUE(ne->Bind(t).ok());
-  EXPECT_TRUE(ne->Eval(t, 0).value().AsBool());
-  auto eq = Eq(Col("a"), Col("b"));
-  ASSERT_TRUE(eq->Bind(t).ok());
-  EXPECT_FALSE(eq->Eval(t, 0).value().AsBool());
-}
-
-TEST(ExprTest, NullSemantics) {
-  Table t(Schema{{"x", DataType::kDouble}});
-  ASSERT_TRUE(t.AppendRow({Value::Null()}).ok());
-  ASSERT_TRUE(t.AppendRow({Value::Real(1.0)}).ok());
-  auto isnull = IsNull(Col("x"));
-  ASSERT_TRUE(isnull->Bind(t).ok());
-  EXPECT_TRUE(isnull->Eval(t, 0).value().AsBool());
-  EXPECT_FALSE(isnull->Eval(t, 1).value().AsBool());
-  // Arithmetic with NULL yields NULL; comparison yields false.
-  auto plus = Add(Col("x"), Lit(1.0));
-  ASSERT_TRUE(plus->Bind(t).ok());
-  EXPECT_TRUE(plus->Eval(t, 0).value().is_null());
-  auto lt = Lt(Col("x"), Lit(99.0));
-  ASSERT_TRUE(lt->Bind(t).ok());
-  EXPECT_FALSE(lt->Eval(t, 0).value().AsBool());
-}
-
-TEST(ExprTest, StringOpsAndDivisionByZero) {
-  Table t(Schema{{"s", DataType::kString}, {"x", DataType::kDouble}});
-  ASSERT_TRUE(t.AppendRow({Value::Text("ab"), Value::Real(0.0)}).ok());
-  auto concat = Add(Col("s"), Lit("cd"));
-  ASSERT_TRUE(concat->Bind(t).ok());
-  EXPECT_EQ(concat->Eval(t, 0).value().AsString(), "abcd");
-  auto div = Div(Lit(1.0), Col("x"));
-  ASSERT_TRUE(div->Bind(t).ok());
-  EXPECT_TRUE(div->Eval(t, 0).value().is_null());
-}
-
-TEST(ExprTest, UnboundColumnFails) {
-  Table t = MakeAisLikeTable();
-  auto e = Col("missing");
-  EXPECT_FALSE(e->Bind(t).ok());
-}
-
-TEST(ExprTest, CustomScalarFunctions) {
-  Table t = MakeAisLikeTable();
-  auto half = Fn("half", [](const Value& v) { return Value::Real(v.AsDouble() / 2); },
-                 Col("sog"));
-  ASSERT_TRUE(half->Bind(t).ok());
-  EXPECT_DOUBLE_EQ(half->Eval(t, 0).value().AsDouble(), 5.0);
-  auto sum2 = Fn2("sum2",
-                  [](const Value& a, const Value& b) {
-                    return Value::Real(a.AsDouble() + b.AsDouble());
-                  },
-                  Col("sog"), Col("ts"));
-  ASSERT_TRUE(sum2->Bind(t).ok());
-  EXPECT_DOUBLE_EQ(sum2->Eval(t, 0).value().AsDouble(), 110.0);
-}
-
-TEST(OpsTest, FilterKeepsMatchingRows) {
-  Table t = MakeAisLikeTable();
-  auto filtered = Filter(t, Eq(Col("trip_id"), Lit(int64_t{2})));
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(filtered.value().num_rows(), 3u);
-}
-
-TEST(OpsTest, ProjectComputesExpressions) {
-  Table t = MakeAisLikeTable();
-  auto projected = Project(
-      t, {{"trip", Col("trip_id"), DataType::kInt64},
-          {"speed_mps", Mul(Col("sog"), Lit(0.514444)), DataType::kDouble}});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(projected.value().num_columns(), 2u);
-  EXPECT_NEAR(projected.value().column(1).GetDouble(0), 5.14444, 1e-5);
-}
-
-TEST(OpsTest, SortByMultipleKeys) {
-  Table t = MakeAisLikeTable();
-  auto sorted = SortBy(t, {{"trip_id", false}, {"ts", true}});
-  ASSERT_TRUE(sorted.ok());
-  const Column& trip = *sorted.value().GetColumn("trip_id").value();
-  const Column& ts = *sorted.value().GetColumn("ts").value();
-  EXPECT_EQ(trip.GetInt(0), 2);
-  EXPECT_EQ(ts.GetInt(0), 150);
-  EXPECT_EQ(trip.GetInt(3), 1);
-}
-
-TEST(OpsTest, WindowLagPerPartition) {
-  Table t = MakeAisLikeTable();
-  auto lagged = WindowLag(t, {"trip_id"}, "ts", "cell", "lag_cell");
-  ASSERT_TRUE(lagged.ok());
-  const Table& lt = lagged.value();
-  ASSERT_EQ(lt.num_rows(), 7u);
-  const Column& cell = *lt.GetColumn("cell").value();
-  const Column& lag = *lt.GetColumn("lag_cell").value();
-  const Column& trip = *lt.GetColumn("trip_id").value();
-  // First row of each partition has NULL lag; later rows carry the
-  // previous cell in ts order.
-  std::map<int64_t, int64_t> prev;
-  std::map<int64_t, bool> first_seen;
-  for (size_t r = 0; r < lt.num_rows(); ++r) {
-    const int64_t tr = trip.GetInt(r);
-    if (!first_seen[tr]) {
-      EXPECT_FALSE(lag.IsValid(r)) << "row " << r;
-      first_seen[tr] = true;
-    } else {
-      ASSERT_TRUE(lag.IsValid(r));
-      EXPECT_EQ(lag.GetInt(r), prev[tr]);
-    }
-    prev[tr] = cell.GetInt(r);
-  }
-}
-
-TEST(OpsTest, WindowLagMissingColumnFails) {
-  Table t = MakeAisLikeTable();
-  EXPECT_FALSE(WindowLag(t, {"nope"}, "ts", "cell", "l").ok());
-  EXPECT_FALSE(WindowLag(t, {"trip_id"}, "nope", "cell", "l").ok());
-  EXPECT_FALSE(WindowLag(t, {"trip_id"}, "ts", "nope", "l").ok());
-}
-
-TEST(OpsTest, GroupByCountAndMedian) {
-  Table t = MakeAisLikeTable();
-  auto grouped = GroupBy(t, {"trip_id"},
-                         {{AggKind::kCount, "", "cnt"},
-                          {AggKind::kMedianExact, "sog", "med_sog"},
-                          {AggKind::kMin, "sog", "min_sog"},
-                          {AggKind::kMax, "sog", "max_sog"},
-                          {AggKind::kSum, "ts", "sum_ts"},
-                          {AggKind::kAvg, "sog", "avg_sog"}});
-  ASSERT_TRUE(grouped.ok());
-  const Table& g = grouped.value();
-  ASSERT_EQ(g.num_rows(), 2u);
-  // Group order follows first appearance: trip 1 then trip 2.
-  EXPECT_EQ(g.GetColumn("trip_id").value()->GetInt(0), 1);
-  EXPECT_EQ(g.GetColumn("cnt").value()->GetInt(0), 4);
-  EXPECT_DOUBLE_EQ(g.GetColumn("med_sog").value()->GetDouble(0), 11.5);
-  EXPECT_DOUBLE_EQ(g.GetColumn("min_sog").value()->GetDouble(1), 7.0);
-  EXPECT_DOUBLE_EQ(g.GetColumn("max_sog").value()->GetDouble(1), 8.0);
-  EXPECT_EQ(g.GetColumn("sum_ts").value()->GetInt(1), 750);
-  EXPECT_NEAR(g.GetColumn("avg_sog").value()->GetDouble(1), 7.5, 1e-9);
-}
-
-TEST(OpsTest, GroupByApproxCountDistinct) {
-  Table t(Schema{{"g", DataType::kInt64}, {"v", DataType::kInt64}});
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(
-        t.AppendRow({Value::Int(i % 2), Value::Int(i % 100)}).ok());
-  }
-  auto grouped = GroupBy(
-      t, {"g"}, {{AggKind::kApproxCountDistinct, "v", "distinct_v"}});
-  ASSERT_TRUE(grouped.ok());
-  for (size_t r = 0; r < 2; ++r) {
-    EXPECT_NEAR(grouped.value().GetColumn("distinct_v").value()->GetInt(r),
-                50, 5);
-  }
-}
-
-TEST(OpsTest, GroupByFirstLastAndNullHandling) {
-  Table t(Schema{{"g", DataType::kInt64}, {"v", DataType::kDouble}});
-  ASSERT_TRUE(t.AppendRow({Value::Int(1), Value::Null()}).ok());
-  ASSERT_TRUE(t.AppendRow({Value::Int(1), Value::Real(5.0)}).ok());
-  ASSERT_TRUE(t.AppendRow({Value::Int(1), Value::Real(9.0)}).ok());
-  auto grouped = GroupBy(t, {"g"},
-                         {{AggKind::kFirst, "v", "first_v"},
-                          {AggKind::kLast, "v", "last_v"},
-                          {AggKind::kCountNonNull, "v", "nn"},
-                          {AggKind::kCount, "", "cnt"}});
-  ASSERT_TRUE(grouped.ok());
-  EXPECT_DOUBLE_EQ(grouped.value().GetColumn("first_v").value()->GetDouble(0),
-                   5.0);
-  EXPECT_DOUBLE_EQ(grouped.value().GetColumn("last_v").value()->GetDouble(0),
-                   9.0);
-  EXPECT_EQ(grouped.value().GetColumn("nn").value()->GetInt(0), 2);
-  EXPECT_EQ(grouped.value().GetColumn("cnt").value()->GetInt(0), 3);
-}
-
-TEST(OpsTest, GroupByAgainstBruteForce) {
-  // Property check: random table, GroupBy(sum, count) must match a map.
-  Rng rng(77);
-  Table t(Schema{{"k", DataType::kInt64}, {"v", DataType::kDouble}});
-  std::map<int64_t, std::pair<double, int>> expected;
-  for (int i = 0; i < 2000; ++i) {
-    const int64_t k = rng.UniformInt(0, 31);
-    const double v = rng.Uniform(-10, 10);
-    ASSERT_TRUE(t.AppendRow({Value::Int(k), Value::Real(v)}).ok());
-    expected[k].first += v;
-    expected[k].second += 1;
-  }
-  auto grouped = GroupBy(
-      t, {"k"}, {{AggKind::kSum, "v", "s"}, {AggKind::kCount, "", "c"}});
-  ASSERT_TRUE(grouped.ok());
-  const Table& g = grouped.value();
-  ASSERT_EQ(g.num_rows(), expected.size());
-  for (size_t r = 0; r < g.num_rows(); ++r) {
-    const int64_t k = g.GetColumn("k").value()->GetInt(r);
-    EXPECT_NEAR(g.GetColumn("s").value()->GetDouble(r), expected[k].first,
-                1e-6);
-    EXPECT_EQ(g.GetColumn("c").value()->GetInt(r), expected[k].second);
-  }
-}
-
-TEST(OpsTest, LimitAndConcat) {
-  Table t = MakeAisLikeTable();
-  Table head = Limit(t, 3);
-  EXPECT_EQ(head.num_rows(), 3u);
-  ASSERT_TRUE(Concat(&head, Limit(t, 2)).ok());
-  EXPECT_EQ(head.num_rows(), 5u);
-  Table other(Schema{{"x", DataType::kInt64}});
-  EXPECT_FALSE(Concat(&head, other).ok());
-}
-
-TEST(QueryTest, ChainedPipeline) {
-  Table t = MakeAisLikeTable();
-  auto result = From(std::move(t))
-                    .Filter(Gt(Col("sog"), Lit(7.2)))
-                    .SortBy({{"sog", true}})
-                    .Limit(3)
-                    .Execute();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().num_rows(), 3u);
-  EXPECT_DOUBLE_EQ(result.value().GetColumn("sog").value()->GetDouble(0), 7.5);
-}
-
-TEST(QueryTest, ErrorShortCircuits) {
-  Table t = MakeAisLikeTable();
-  auto result = From(std::move(t))
-                    .Filter(Gt(Col("missing"), Lit(1.0)))
-                    .Limit(3)
-                    .Execute();
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CsvTest, RoundTripWithTypesAndNulls) {

@@ -12,7 +12,7 @@
 #include "habit/framework.h"
 #include "habit/graph_builder.h"
 #include "hexgrid/hexgrid.h"
-#include "minidb/query.h"
+#include "minidb/table.h"
 
 namespace habit {
 namespace {

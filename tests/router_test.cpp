@@ -406,6 +406,33 @@ TEST_F(RouterTest, HaloAndFallbackStrategiesAreReportedAndAnswer) {
   EXPECT_EQ(results->items()[1].Dump(), reference[1]);
 }
 
+TEST_F(RouterTest, ShardAndHaloRequestsSharingAShardKeepTheirOwnRoutes) {
+  LocalRig rig = MakeLocalRig();
+  ASSERT_NE(rig.router, nullptr);
+  // A halo gap routes to its start endpoint's shard; an in-shard gap ending
+  // at that same start lands in the same shard group.
+  const api::ImputeRequest halo = HaloGap();
+  const hex::CellId parent = ParentAt(halo.gap_start.lat, 11.0);
+  api::ImputeRequest in_shard = halo;
+  in_shard.gap_end = halo.gap_start;
+  for (int k = 1; k <= 20; ++k) {
+    const double north = halo.gap_start.lat + k * 0.0005;
+    const double south = halo.gap_start.lat - k * 0.0005;
+    in_shard.gap_start.lat = ParentAt(north, 11.0) == parent ? north : south;
+    if (ParentAt(in_shard.gap_start.lat, 11.0) == parent) break;
+  }
+  ASSERT_EQ(ParentAt(in_shard.gap_start.lat, 11.0), parent);
+
+  const Json frame = MustParse(rig.router->HandleLine(
+      server::EncodeImputeBatchRequest(
+          "", std::vector<api::ImputeRequest>{in_shard, halo})));
+  const Json* routes = frame.Find("routes");
+  ASSERT_NE(routes, nullptr);
+  ASSERT_EQ(routes->items().size(), 2u);
+  EXPECT_EQ(routes->items()[0].string_value(), "shard");
+  EXPECT_EQ(routes->items()[1].string_value(), "halo");
+}
+
 TEST_F(RouterTest, RouterRejectsModelFieldAndMethodsOp) {
   LocalRig rig = MakeLocalRig();
   ASSERT_NE(rig.router, nullptr);

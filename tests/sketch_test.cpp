@@ -1,8 +1,10 @@
-// Tests for the sketch module: HyperLogLog error bounds and merge algebra,
-// P^2 quantile estimation accuracy, exact median, reservoir sampling.
+// Tests for the sketch module: HyperLogLog error bounds, merge algebra and
+// the sparse distinct count, P^2 quantile estimation accuracy, exact median,
+// reservoir sampling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -65,6 +67,61 @@ TEST(HllTest, PrecisionClampedIntoRange) {
   EXPECT_EQ(HyperLogLog(1).precision(), 4);
   EXPECT_EQ(HyperLogLog(30).precision(), 18);
   EXPECT_EQ(HyperLogLog(12).SizeBytes(), 4096u);
+}
+
+// EstimateDistinct must return Estimate()'s bits for the same keys on both
+// sides of its 70% register threshold.
+double DenseEstimate(const std::vector<uint64_t>& keys, int precision) {
+  HyperLogLog hll(precision);
+  for (const uint64_t key : keys) hll.AddInt(key);
+  return hll.Estimate();
+}
+
+double SparseEstimate(std::vector<uint64_t> keys, int precision) {
+  return HyperLogLog::EstimateDistinct(keys, precision);
+}
+
+TEST(HllTest, EstimateDistinctMatchesDenseSketchBitForBit) {
+  for (int p = 4; p <= 14; ++p) {
+    const int64_t m = int64_t{1} << p;
+    Rng rng(static_cast<uint64_t>(p));
+    // 0..64 keys one by one, then up to 4·2^p keys in steps of 2^p/16;
+    // keys drawn from [0, n] repeat, so dedup is exercised too.
+    std::vector<int64_t> sizes;
+    for (int64_t n = 0; n <= 64; ++n) sizes.push_back(n);
+    for (int64_t n = m / 16; n <= 4 * m; n += m / 16) sizes.push_back(n);
+    for (const int64_t n : sizes) {
+      std::vector<uint64_t> keys(static_cast<size_t>(n));
+      for (uint64_t& key : keys) {
+        key = static_cast<uint64_t>(rng.UniformInt(0, n));
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(SparseEstimate(keys, p)),
+                std::bit_cast<uint64_t>(DenseEstimate(keys, p)))
+          << "p=" << p << " n=" << n;
+    }
+  }
+}
+
+TEST(HllTest, EstimateDistinctMatchesAtTheThresholdEdge) {
+  for (int p = 4; p <= 14; ++p) {
+    const size_t m = size_t{1} << p;
+    std::vector<uint64_t> keys;
+    std::vector<bool> hit(m, false);
+    size_t hits = 0;
+    // Add keys until the hit registers pass 70% by two; compare at every
+    // hit count within two of the threshold (10·hits vs 7·m).
+    for (uint64_t key = 0; 10 * hits <= 7 * m + 20; ++key) {
+      keys.push_back(key);
+      const uint64_t index = HyperLogLog::Hash64(key) >> (64 - p);
+      if (hit[index]) continue;
+      hit[index] = true;
+      ++hits;
+      if (10 * hits + 20 < 7 * m) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(SparseEstimate(keys, p)),
+                std::bit_cast<uint64_t>(DenseEstimate(keys, p)))
+          << "p=" << p << " hits=" << hits;
+    }
+  }
 }
 
 TEST(ExactMedianTest, OddAndEvenCounts) {
