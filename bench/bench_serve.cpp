@@ -5,8 +5,9 @@
 // a synthetic KIEL feed), then drives it with N concurrent line-protocol
 // clients issuing ImputeBatch frames drawn from the experiment's gap
 // cases. Reports throughput (serve_qps) and per-frame latency (p50/p99),
-// next to the in-process ImputeBatch rate over the identical workload so
-// the protocol + dispatch overhead is visible as one ratio.
+// next to the in-process ImputeBatch rate over the identical workload at
+// the server's parallelism (threads= its worker count, warmed), so the
+// protocol + dispatch overhead is visible as one ratio.
 //
 //   bench_serve [scale] [clients] [frames_per_client] [batch]
 //              [--binary] [--idle N]
@@ -143,9 +144,18 @@ int main(int argc, char** argv) {
                                  static_cast<uint64_t>(frames_per_client) *
                                  static_cast<uint64_t>(batch);
 
-  // ---- in-process reference: the same total workload on one model.
-  auto inproc = api::MakeModel(load_spec, {});
+  // ---- server: TCP on an ephemeral port, hardware-sized worker pool.
+  server::ServerOptions options;
+  options.max_batch = static_cast<size_t>(batch);
+  server::Server server(options);
+
+  // ---- in-process reference: the same total workload on one model with
+  // as many batch workers as the server's pool, after one untimed pass.
+  const int inproc_threads = server.workers();
+  auto inproc = api::MakeModel(
+      load_spec + ",threads=" + std::to_string(inproc_threads), {});
   if (!inproc.ok()) return Fail(inproc.status());
+  (void)inproc.value()->ImputeBatch(frame);
   Stopwatch inproc_timer;
   for (int f = 0; f < clients * frames_per_client; ++f) {
     const auto responses = inproc.value()->ImputeBatch(frame);
@@ -157,10 +167,6 @@ int main(int argc, char** argv) {
   const double inproc_qps =
       static_cast<double>(total_queries) / inproc_seconds;
 
-  // ---- server: TCP on an ephemeral port, hardware-sized worker pool.
-  server::ServerOptions options;
-  options.max_batch = static_cast<size_t>(batch);
-  server::Server server(options);
   {
     auto spec = api::MethodSpec::Parse(load_spec);
     if (!spec.ok()) return Fail(spec.status());
@@ -281,13 +287,14 @@ int main(int argc, char** argv) {
 
   std::printf(
       "served %llu queries (%d clients x %d frames x batch %d, %s, "
-      "%lld idle) in %.2fs over TCP: %.0f q/s (in-process %.0f q/s, "
-      "overhead x%.2f)\n"
+      "%lld idle) in %.2fs over TCP: %.0f q/s (in-process %.0f q/s at "
+      "threads=%d, overhead x%.2f)\n"
       "frame latency p50 %.2f ms, p99 %.2f ms (batch of %d)\n",
       static_cast<unsigned long long>(total_queries), clients,
       frames_per_client, batch, binary ? "binary" : "json",
       static_cast<long long>(idle_count), serve_seconds, serve_qps,
-      inproc_qps, inproc_qps / serve_qps, p50_ms, p99_ms, batch);
+      inproc_qps, inproc_threads, inproc_qps / serve_qps, p50_ms, p99_ms,
+      batch);
   const api::ModelCache::Stats stats = server.cache().stats();
   std::printf("cache: %llu hits, %llu misses, %llu coalesced\n",
               static_cast<unsigned long long>(stats.hits),
@@ -298,11 +305,11 @@ int main(int argc, char** argv) {
       "BENCH_METRIC {\"metric\":\"serve_qps\",\"dataset\":\"KIEL\","
       "\"scale\":%.3f,\"clients\":%d,\"batch\":%d,\"workers\":%d,"
       "\"mode\":\"%s\",\"idle\":%lld,"
-      "\"serve_qps\":%.1f,\"inproc_qps\":%.1f,\"frame_p50_ms\":%.3f,"
-      "\"frame_p99_ms\":%.3f}\n",
+      "\"serve_qps\":%.1f,\"inproc_qps\":%.1f,\"inproc_threads\":%d,"
+      "\"frame_p50_ms\":%.3f,\"frame_p99_ms\":%.3f}\n",
       scale, clients, batch, server.workers(),
       binary ? "binary" : "json", static_cast<long long>(idle_count),
-      serve_qps, inproc_qps, p50_ms, p99_ms);
+      serve_qps, inproc_qps, inproc_threads, p50_ms, p99_ms);
 
   std::remove(snapshot_path.c_str());
   return 0;

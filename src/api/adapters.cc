@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
-#include <thread>
 
 #include "baselines/sli.h"
 #include "core/stopwatch.h"
@@ -118,77 +116,6 @@ Result<int> ParseThreads(const MethodSpec& spec) {
   return threads;
 }
 
-// Runs `impute_one(request, &scratch)` over every request — serially, or
-// partitioned across `threads` workers, each owning one flat SearchScratch
-// so the batch scales with no shared mutable state. Per-query wall times
-// land in `query_seconds` aligned with the requests.
-//
-// Batch-level locality: requests are processed in ascending H3-cell order
-// of their gap start at the model's `resolution`. H3 indices order
-// hierarchically (a child shares its parent's bit prefix), so the sorted
-// sequence approximates a space-filling curve over the globe — each
-// worker's contiguous chunk lands in one geographic neighborhood, and its
-// searches keep revisiting the same CSR rows and landmark columns instead
-// of striding the whole graph between queries. Responses and per-query
-// times are still written at their original indices, so the output order
-// is exactly the input order.
-template <typename ImputeOneFn>
-std::vector<Result<ImputeResponse>> RunImputeBatch(
-    std::span<const ImputeRequest> requests, int threads, int resolution,
-    std::vector<double>* query_seconds, const ImputeOneFn& impute_one) {
-  const size_t n = requests.size();
-  std::vector<Result<ImputeResponse>> responses(
-      n, Result<ImputeResponse>(Status::Internal("request not processed")));
-  std::vector<double> seconds(n, 0.0);
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  // stable_sort keeps the input order within a cell (and for the invalid
-  // coordinates that map to kInvalidCell), so scheduling is deterministic.
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return hex::LatLngToCell(requests[a].gap_start, resolution) <
-           hex::LatLngToCell(requests[b].gap_start, resolution);
-  });
-  auto run_range = [&](size_t begin, size_t end) {
-    core::Imputer::SearchScratch scratch;
-    for (size_t pos = begin; pos < end; ++pos) {
-      const size_t i = order[pos];
-      Stopwatch sw;
-      const Status valid = ValidateRequest(requests[i]);
-      if (!valid.ok()) {
-        responses[i] = valid;
-        seconds[i] = sw.ElapsedSeconds();
-        continue;
-      }
-      auto imputation = impute_one(requests[i], &scratch);
-      if (imputation.ok()) {
-        responses[i] = ResponseFromImputation(imputation.MoveValue());
-      } else {
-        responses[i] = imputation.status();
-      }
-      seconds[i] = sw.ElapsedSeconds();
-    }
-  };
-  // Cap the pool: more workers than queries is useless, and an absurd
-  // spec value must not exhaust OS threads (std::thread's constructor
-  // throws on failure, which would terminate mid-batch).
-  constexpr size_t kMaxBatchWorkers = 64;
-  const size_t workers = std::min(
-      {static_cast<size_t>(std::max(threads, 1)), std::max<size_t>(n, 1),
-       kMaxBatchWorkers});
-  if (workers <= 1) {
-    run_range(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back(run_range, n * w / workers, n * (w + 1) / workers);
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  if (query_seconds != nullptr) *query_seconds = std::move(seconds);
-  return responses;
-}
-
 Result<core::HabitConfig> ParseHabitConfig(const MethodSpec& spec) {
   core::HabitConfig config;
   HABIT_ASSIGN_OR_RETURN(config.resolution,
@@ -278,44 +205,19 @@ class GtiAdapter : public ImputationModel {
                   config_.rd_degrees);
     return buf;
   }
-  Result<ImputeResponse> Impute(const ImputeRequest& request) const override {
-    HABIT_RETURN_NOT_OK(ValidateRequest(request));
-    HABIT_ASSIGN_OR_RETURN(
-        geo::Polyline path,
-        model_->Impute(request.gap_start, request.gap_end));
-    return ResponseFromPath(std::move(path), request);
-  }
-  std::vector<Result<ImputeResponse>> ImputeBatch(
-      std::span<const ImputeRequest> requests,
-      std::vector<double>* query_seconds) const override {
-    // One search scratch for the whole batch (generation stamps make the
-    // per-query reset free).
-    std::vector<Result<ImputeResponse>> responses;
-    responses.reserve(requests.size());
-    if (query_seconds != nullptr) {
-      query_seconds->clear();
-      query_seconds->reserve(requests.size());
-    }
-    graph::SearchScratch scratch;
-    for (const ImputeRequest& request : requests) {
-      Stopwatch sw;
-      auto response = [&]() -> Result<ImputeResponse> {
-        HABIT_RETURN_NOT_OK(ValidateRequest(request));
-        HABIT_ASSIGN_OR_RETURN(
-            geo::Polyline path,
-            model_->Impute(request.gap_start, request.gap_end, &scratch));
-        return ResponseFromPath(std::move(path), request);
-      }();
-      responses.push_back(std::move(response));
-      if (query_seconds != nullptr) {
-        query_seconds->push_back(sw.ElapsedSeconds());
-      }
-    }
-    return responses;
-  }
   size_t SizeBytes() const override { return model_->SizeBytes(); }
   size_t SerializedSizeBytes() const override {
     return model_->SerializedSizeBytes();
+  }
+
+ protected:
+  Result<ImputeResponse> ImputeValidated(
+      const ImputeRequest& request,
+      graph::SearchScratch* scratch) const override {
+    HABIT_ASSIGN_OR_RETURN(
+        geo::Polyline path,
+        model_->Impute(request.gap_start, request.gap_end, scratch));
+    return ResponseFromPath(std::move(path), request);
   }
 
  private:
@@ -391,14 +293,17 @@ class PalmtoAdapter : public ImputationModel {
                   config_.n);
     return buf;
   }
-  Result<ImputeResponse> Impute(const ImputeRequest& request) const override {
-    HABIT_RETURN_NOT_OK(ValidateRequest(request));
+  size_t SizeBytes() const override { return model_->SizeBytes(); }
+
+ protected:
+  Result<ImputeResponse> ImputeValidated(
+      const ImputeRequest& request,
+      graph::SearchScratch* /*scratch*/) const override {
     HABIT_ASSIGN_OR_RETURN(
         geo::Polyline path,
         model_->Impute(request.gap_start, request.gap_end));
     return ResponseFromPath(std::move(path), request);
   }
-  size_t SizeBytes() const override { return model_->SizeBytes(); }
 
  private:
   PalmtoAdapter(std::unique_ptr<baselines::PalmtoModel> model,
@@ -425,14 +330,17 @@ class SliAdapter : public ImputationModel {
 
   std::string Name() const override { return "SLI"; }
   std::string Configuration() const override { return "-"; }
-  Result<ImputeResponse> Impute(const ImputeRequest& request) const override {
-    HABIT_RETURN_NOT_OK(ValidateRequest(request));
+  size_t SizeBytes() const override { return 0; }
+
+ protected:
+  Result<ImputeResponse> ImputeValidated(
+      const ImputeRequest& request,
+      graph::SearchScratch* /*scratch*/) const override {
     return ResponseFromPath(
         baselines::StraightLineImpute(request.gap_start, request.gap_end,
                                       num_points_),
         request);
   }
-  size_t SizeBytes() const override { return 0; }
 
  private:
   explicit SliAdapter(int num_points) : num_points_(num_points) {}
@@ -512,26 +420,17 @@ std::string HabitModel::Configuration() const {
   return HabitConfigurationString(framework_->config());
 }
 
-Result<ImputeResponse> HabitModel::Impute(const ImputeRequest& request) const {
-  HABIT_RETURN_NOT_OK(ValidateRequest(request));
+Result<ImputeResponse> HabitModel::ImputeValidated(
+    const ImputeRequest& request, graph::SearchScratch* scratch) const {
   HABIT_ASSIGN_OR_RETURN(
       core::Imputation imputation,
       framework_->Impute(request.gap_start, request.gap_end, request.t_start,
-                         request.t_end));
+                         request.t_end, scratch));
   return ResponseFromImputation(std::move(imputation));
 }
 
-std::vector<Result<ImputeResponse>> HabitModel::ImputeBatch(
-    std::span<const ImputeRequest> requests,
-    std::vector<double>* query_seconds) const {
-  const core::Imputer& imputer = framework_->imputer();
-  return RunImputeBatch(
-      requests, threads_, framework_->config().resolution, query_seconds,
-      [&imputer](const ImputeRequest& request,
-                 core::Imputer::SearchScratch* scratch) {
-        return imputer.Impute(request.gap_start, request.gap_end,
-                              request.t_start, request.t_end, scratch);
-      });
+uint64_t HabitModel::ClaimKey(const ImputeRequest& request) const {
+  return hex::LatLngToCell(request.gap_start, framework_->config().resolution);
 }
 
 Result<std::unique_ptr<ImputationModel>> TypedHabitModel::Make(
@@ -560,42 +459,25 @@ Result<std::unique_ptr<ImputationModel>> TypedHabitModel::Make(
 
 std::string TypedHabitModel::Configuration() const { return configuration_; }
 
-namespace {
-
-// Routes one request to the per-type or combined graph, sharing the
-// caller's A* scratch.
-Result<core::Imputation> TypedImpute(const core::TypedHabitFramework& fw,
-                                     const ImputeRequest& request,
-                                     core::Imputer::SearchScratch* scratch) {
-  if (request.vessel_type.has_value()) {
-    return fw.Impute(*request.vessel_type, request.gap_start, request.gap_end,
-                     request.t_start, request.t_end, scratch);
-  }
-  return fw.combined().Impute(request.gap_start, request.gap_end,
-                              request.t_start, request.t_end, scratch);
+// Requests with a vessel type go to the per-type graph, the rest to the
+// combined graph; both share the worker's scratch.
+Result<ImputeResponse> TypedHabitModel::ImputeValidated(
+    const ImputeRequest& request, graph::SearchScratch* scratch) const {
+  HABIT_ASSIGN_OR_RETURN(
+      core::Imputation imputation,
+      request.vessel_type.has_value()
+          ? framework_->Impute(*request.vessel_type, request.gap_start,
+                               request.gap_end, request.t_start,
+                               request.t_end, scratch)
+          : framework_->combined().Impute(request.gap_start,
+                                          request.gap_end, request.t_start,
+                                          request.t_end, scratch));
+  return ResponseFromImputation(std::move(imputation));
 }
 
-}  // namespace
-
-Result<ImputeResponse> TypedHabitModel::Impute(
-    const ImputeRequest& request) const {
-  HABIT_RETURN_NOT_OK(ValidateRequest(request));
-  core::Imputer::SearchScratch scratch;
-  auto imputation = TypedImpute(*framework_, request, &scratch);
-  if (!imputation.ok()) return imputation.status();
-  return ResponseFromImputation(imputation.MoveValue());
-}
-
-std::vector<Result<ImputeResponse>> TypedHabitModel::ImputeBatch(
-    std::span<const ImputeRequest> requests,
-    std::vector<double>* query_seconds) const {
-  const core::TypedHabitFramework& fw = *framework_;
-  return RunImputeBatch(
-      requests, threads_, fw.combined().config().resolution, query_seconds,
-      [&fw](const ImputeRequest& request,
-            core::Imputer::SearchScratch* scratch) {
-        return TypedImpute(fw, request, scratch);
-      });
+uint64_t TypedHabitModel::ClaimKey(const ImputeRequest& request) const {
+  return hex::LatLngToCell(request.gap_start,
+                           framework_->combined().config().resolution);
 }
 
 size_t TypedHabitModel::SizeBytes() const { return framework_->SizeBytes(); }

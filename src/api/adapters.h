@@ -35,10 +35,13 @@ void RegisterBuiltinModels(ModelRegistry& registry);
 
 /// \brief "habit": adapter over core::HabitFramework.
 ///
-/// ImputeBatch runs every query against the frozen CSR graph with one flat
-/// search scratch per worker thread (spec parameter `threads`, default 1):
-/// the scratch's generation-stamped arrays make per-query reuse free, and
-/// the batch partitions across threads with no shared mutable state.
+/// Batches are claimed in ascending H3-cell order of the gap start at the
+/// model's resolution: H3 indices order hierarchically (a child shares its
+/// parent's bit prefix), so consecutive claims land in one geographic
+/// neighborhood and the workers' searches keep revisiting the same CSR
+/// rows. Each worker reuses one flat search scratch, whose generation
+/// stamps make per-query reuse free; `threads` (default 1) sets the
+/// in-process worker count.
 class HabitModel : public ImputationModel {
  public:
   static Result<std::unique_ptr<ImputationModel>> Make(
@@ -46,10 +49,6 @@ class HabitModel : public ImputationModel {
 
   std::string Name() const override { return "HABIT"; }
   std::string Configuration() const override;
-  Result<ImputeResponse> Impute(const ImputeRequest& request) const override;
-  std::vector<Result<ImputeResponse>> ImputeBatch(
-      std::span<const ImputeRequest> requests,
-      std::vector<double>* query_seconds) const override;
   size_t SizeBytes() const override { return framework_->SizeBytes(); }
   size_t SerializedSizeBytes() const override {
     return framework_->SerializedSizeBytes();
@@ -58,19 +57,27 @@ class HabitModel : public ImputationModel {
   /// The wrapped framework (graph access for persistence / trip helpers).
   const core::HabitFramework& framework() const { return *framework_; }
 
+ protected:
+  Result<ImputeResponse> ImputeValidated(
+      const ImputeRequest& request,
+      graph::SearchScratch* scratch) const override;
+  uint64_t ClaimKey(const ImputeRequest& request) const override;
+
  private:
   HabitModel(std::unique_ptr<core::HabitFramework> framework, int threads)
-      : framework_(std::move(framework)), threads_(threads) {}
+      : framework_(std::move(framework)) {
+    batch_threads_ = threads;
+  }
 
   std::unique_ptr<core::HabitFramework> framework_;
-  int threads_ = 1;
 };
 
 /// \brief "habit_typed": adapter over core::TypedHabitFramework.
 ///
 /// Requests carrying a vessel_type are routed to the matching per-type
 /// graph (with transparent fallback to the combined graph); requests
-/// without one query the combined graph directly.
+/// without one query the combined graph directly. Batches are claimed in
+/// H3 order at the combined graph's resolution, as for "habit".
 class TypedHabitModel : public ImputationModel {
  public:
   static Result<std::unique_ptr<ImputationModel>> Make(
@@ -78,10 +85,6 @@ class TypedHabitModel : public ImputationModel {
 
   std::string Name() const override { return "HABIT-T"; }
   std::string Configuration() const override;
-  Result<ImputeResponse> Impute(const ImputeRequest& request) const override;
-  std::vector<Result<ImputeResponse>> ImputeBatch(
-      std::span<const ImputeRequest> requests,
-      std::vector<double>* query_seconds) const override;
   size_t SizeBytes() const override;
   size_t SerializedSizeBytes() const override {
     return framework_->SerializedSizeBytes();
@@ -89,16 +92,22 @@ class TypedHabitModel : public ImputationModel {
 
   const core::TypedHabitFramework& framework() const { return *framework_; }
 
+ protected:
+  Result<ImputeResponse> ImputeValidated(
+      const ImputeRequest& request,
+      graph::SearchScratch* scratch) const override;
+  uint64_t ClaimKey(const ImputeRequest& request) const override;
+
  private:
   TypedHabitModel(std::unique_ptr<core::TypedHabitFramework> framework,
                   std::string configuration, int threads)
       : framework_(std::move(framework)),
-        configuration_(std::move(configuration)),
-        threads_(threads) {}
+        configuration_(std::move(configuration)) {
+    batch_threads_ = threads;
+  }
 
   std::unique_ptr<core::TypedHabitFramework> framework_;
   std::string configuration_;
-  int threads_ = 1;
 };
 
 }  // namespace habit::api

@@ -9,11 +9,12 @@
 //   auto response = (*model)->Impute(req);
 //
 // Models are constructed by name through the ModelRegistry (registry.h);
-// batch workloads go through ImputeBatch, which lets implementations
-// amortize per-query state (HABIT reuses its A* search scratch).
+// batch workloads go through ImputeBatch, the one batch executor: workers
+// claim requests from a shared cursor and reuse a search scratch each.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -22,6 +23,10 @@
 #include "ais/ais.h"
 #include "core/status.h"
 #include "geo/polyline.h"
+
+namespace habit::graph {
+struct SearchScratch;
+}  // namespace habit::graph
 
 namespace habit::api {
 
@@ -80,6 +85,12 @@ struct ImputeResponse {
 /// timeouts) surface as non-OK Results, never as exceptions.
 class ImputationModel {
  public:
+  /// \brief Where a batch's workers come from: runs `body` on up to
+  /// `max_workers` threads at once and returns once every call has
+  /// returned. A non-OK status fails every request of the batch with it.
+  using WorkerSource = std::function<Status(
+      size_t max_workers, const std::function<void()>& body)>;
+
   virtual ~ImputationModel() = default;
 
   /// Display name of the method ("HABIT", "GTI", ...).
@@ -89,18 +100,28 @@ class ImputationModel {
   virtual std::string Configuration() const = 0;
 
   /// Answers one imputation query.
-  virtual Result<ImputeResponse> Impute(const ImputeRequest& request) const = 0;
+  Result<ImputeResponse> Impute(const ImputeRequest& request) const;
 
   /// \brief Answers a batch of queries; result i corresponds to request i.
   ///
-  /// The default implementation loops over Impute. Overrides may amortize
-  /// per-query overhead (HABIT reuses one A* search scratch across the
-  /// whole batch). When `query_seconds` is non-null it receives the
-  /// per-query wall time (one entry per request, including failed ones) —
-  /// the latency the paper's Table 4 reports.
-  virtual std::vector<Result<ImputeResponse>> ImputeBatch(
+  /// The one batch executor. Requests are ordered once by ClaimKey; each
+  /// worker then claims the next position from a cursor local to this
+  /// call, validates the request, imputes it with a search scratch it
+  /// allocated for this call, and writes the response at the request's
+  /// original index. No worker waits on a fixed share of the batch.
+  ///
+  /// Workers come from `workers` when given (the server passes its pool);
+  /// otherwise the calling thread works alongside threads=N-1 spawned
+  /// ones (a spawn the OS refuses leaves fewer workers). Answers do not
+  /// depend on the worker count, the claim order or the scratch: every
+  /// path, timestamp, `expanded` count and error is the same as one
+  /// serial Impute per request. When `query_seconds` is non-null it
+  /// receives the per-query wall time (one entry per request, including
+  /// failed ones) — the latency the paper's Table 4 reports.
+  std::vector<Result<ImputeResponse>> ImputeBatch(
       std::span<const ImputeRequest> requests,
-      std::vector<double>* query_seconds = nullptr) const;
+      std::vector<double>* query_seconds = nullptr,
+      const WorkerSource& workers = nullptr) const;
 
   /// Wall-clock seconds the model took to build (0 for buildless methods).
   double BuildSeconds() const { return build_seconds_; }
@@ -114,8 +135,21 @@ class ImputationModel {
   virtual size_t SerializedSizeBytes() const { return SizeBytes(); }
 
  protected:
+  /// Answers one request that passed ValidateRequest, reusing the calling
+  /// worker's `scratch` (methods that do not search ignore it).
+  virtual Result<ImputeResponse> ImputeValidated(
+      const ImputeRequest& request, graph::SearchScratch* scratch) const = 0;
+
+  /// Batch claim-order key of one request, computed once per request:
+  /// workers claim in ascending key order, equal keys in input order. The
+  /// default keys every request alike, so claims follow the input order.
+  virtual uint64_t ClaimKey(const ImputeRequest& request) const;
+
   /// Set by factories after timing the build.
   double build_seconds_ = 0;
+  /// In-process batch workers when ImputeBatch gets no WorkerSource (the
+  /// threads= spec parameter); set by factories.
+  int batch_threads_ = 1;
 };
 
 }  // namespace habit::api

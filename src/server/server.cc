@@ -53,7 +53,7 @@ void WorkerPool::WorkerMain() {
       while (!stopping_ && queue_.empty() && submitted_.empty()) {
         work_cv_.Wait(mu_);
       }
-      // Batch chunks first: they are sub-work of frames already being
+      // Batch tasks first: they are sub-work of frames already being
       // handled, so finishing them beats starting new frames.
       if (!queue_.empty()) {
         task = std::move(queue_.front());
@@ -129,9 +129,9 @@ Status WorkerPool::RunAll(std::vector<std::function<void()>> tasks) {
   // Help while waiting: drain queue_ tasks on THIS thread until the batch
   // completes. A frame handler running on a worker (Submit) that calls
   // RunAll therefore always makes progress — even with every worker busy
-  // in nested RunAll, each waiter executes its own batch's chunks. Safe
+  // in nested RunAll, each waiter executes its own batch's tasks. Safe
   // against missed wakeups because this batch is fully enqueued above:
-  // once queue_ looks empty, our chunks are running or done, and the
+  // once queue_ looks empty, our tasks are running or done, and the
   // latch re-check under its mutex catches the final completion.
   std::exception_ptr error;
   while (true) {
@@ -374,9 +374,20 @@ Result<std::vector<Result<api::ImputeResponse>>> Server::ExecuteImpute(
     if (!model.ok()) return model.status();
   }
 
+  // The frame's gaps go to the shared pool through the one batch
+  // executor: up to one claim loop per worker, and RunAll's caller helps,
+  // so search concurrency stays bounded by the pool size. A pool failure
+  // (shutdown, a task that threw) fails each request with its status, so
+  // the frame is still answered whole.
   std::vector<double> query_seconds;
   std::vector<Result<api::ImputeResponse>> results =
-      DispatchBatch(*model.value(), request.requests, &query_seconds);
+      model.value()->ImputeBatch(
+          request.requests, &query_seconds,
+          [this](size_t workers, const std::function<void()>& body) {
+            return pool_.RunAll(std::vector<std::function<void()>>(
+                std::min(workers, static_cast<size_t>(pool_.workers())),
+                body));
+          });
 
   {
     core::MutexLock lock(stats_mu_);
@@ -463,74 +474,6 @@ std::string Server::HandleFrame(std::string_view payload) {
     }
   }
   return frame::EncodeErrorFrame(Status::Internal("unhandled op"), Json());
-}
-
-std::vector<Result<api::ImputeResponse>> Server::DispatchBatch(
-    const api::ImputationModel& model,
-    std::span<const api::ImputeRequest> requests,
-    std::vector<double>* query_seconds) {
-  const size_t n = requests.size();
-  const size_t chunks =
-      std::min(static_cast<size_t>(pool_.workers()), n > 0 ? n : 1);
-  // A pool failure (shutdown mid-request, or a task that threw inside
-  // ImputeBatch) yields per-request errors aligned with the input — the
-  // response stays well-formed and the frame is still answered.
-  const auto fail_all = [&](const Status& status) {
-    std::vector<Result<api::ImputeResponse>> failed;
-    failed.reserve(n);
-    for (size_t i = 0; i < n; ++i) failed.emplace_back(status);
-    if (query_seconds != nullptr) query_seconds->assign(n, 0.0);
-    return failed;
-  };
-  if (chunks <= 1) {
-    // Still runs on the pool: every search runs on a worker thread, so
-    // process-wide search concurrency is bounded by the pool size no
-    // matter how many connection threads exist.
-    std::vector<Result<api::ImputeResponse>> results;
-    const Status run = pool_.RunAll(
-        {[&] { results = model.ImputeBatch(requests, query_seconds); }});
-    if (!run.ok()) return fail_all(run);
-    return results;
-  }
-  // Partition across workers, one serial sub-batch (and therefore one
-  // SearchScratch, inside the adapter's ImputeBatch) per chunk. Queries
-  // are independent, so chunked results concatenate to exactly the
-  // single-call ImputeBatch output. Per-query wall times come from the
-  // adapter's own measurement (the paper's Table 4 latency), stitched
-  // back into request order alongside the results.
-  std::vector<std::vector<Result<api::ImputeResponse>>> parts(chunks);
-  std::vector<std::vector<double>> part_seconds(chunks);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = n * c / chunks;
-    const size_t end = n * (c + 1) / chunks;
-    tasks.push_back(
-        [&model, &parts, &part_seconds, query_seconds, requests, c, begin,
-         end] {
-          parts[c] = model.ImputeBatch(
-              requests.subspan(begin, end - begin),
-              query_seconds != nullptr ? &part_seconds[c] : nullptr);
-        });
-  }
-  const Status run = pool_.RunAll(std::move(tasks));
-  if (!run.ok()) return fail_all(run);
-  std::vector<Result<api::ImputeResponse>> results;
-  results.reserve(n);
-  if (query_seconds != nullptr) {
-    query_seconds->clear();
-    query_seconds->reserve(n);
-  }
-  for (size_t c = 0; c < chunks; ++c) {
-    for (Result<api::ImputeResponse>& result : parts[c]) {
-      results.push_back(std::move(result));
-    }
-    if (query_seconds != nullptr) {
-      query_seconds->insert(query_seconds->end(), part_seconds[c].begin(),
-                            part_seconds[c].end());
-    }
-  }
-  return results;
 }
 
 std::string Server::MethodsLine(const Json& id) {

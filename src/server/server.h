@@ -3,13 +3,13 @@
 // model by registry spec; the server validates the request *before*
 // resolving the model (garbage input must never trigger a multi-second
 // snapshot load), resolves through the cache (single-flight: N concurrent
-// cold requests for one model pay one load), and answers Impute /
-// ImputeBatch. Batches partition across a shared worker pool — one
-// serial ImputeBatch chunk, and therefore one SearchScratch, per worker —
-// which generalizes the in-process `threads=N` discipline across
-// concurrent client connections: all connections feed the same pool, so
-// total search parallelism stays bounded by `ServerOptions::threads`
-// regardless of client count.
+// cold requests for one model pay one load), and answers every impute
+// frame through ImputationModel::ImputeBatch with the shared worker pool
+// as its worker source: the pool's workers claim the frame's gaps one at
+// a time from the batch's shared cursor, each with its own search
+// scratch, so no frame waits on a fixed heaviest share. All connections
+// feed the same pool, so total search parallelism stays bounded by
+// `ServerOptions::threads` regardless of client count.
 //
 // Transports live in server/transport.h (LineTransport — shared with the
 // habit_route shard router): a loopback TCP epoll event loop (idle
@@ -47,8 +47,9 @@
 
 namespace habit::server {
 
-/// \brief Fixed-size thread pool executing submitted closures; batch
-/// handlers split work into chunks and wait on a per-batch latch.
+/// \brief Fixed-size thread pool executing submitted closures; a frame's
+/// batch runs as up to one claim loop per worker (RunAll), and its
+/// handler waits on a per-batch latch.
 ///
 /// All connections share one pool, so the process-wide search concurrency
 /// is `workers` no matter how many clients are connected.
@@ -66,8 +67,8 @@ class WorkerPool {
   /// Runs `tasks` on the pool and blocks until all complete. The waiting
   /// thread HELPS: while its batch is outstanding it drains other RunAll
   /// tasks from the queue, so a Submit()ted frame handler may itself call
-  /// RunAll (DispatchBatch) without deadlocking a fully-busy pool. RunAll
-  /// leaf tasks themselves must not nest further.
+  /// RunAll (its frame's ImputeBatch) without deadlocking a fully-busy
+  /// pool. RunAll leaf tasks themselves must not nest further.
   ///
   /// Returns non-OK without running anything when the pool has been shut
   /// down, and kInternal when a task threw (the exception is contained:
@@ -77,7 +78,7 @@ class WorkerPool {
 
   /// Enqueues one fire-and-forget closure (the transport's frame
   /// handlers). Runs at lower priority than RunAll batch tasks — batch
-  /// chunks are latency-critical sub-work of a frame already being
+  /// claim loops are latency-critical sub-work of a frame already being
   /// handled. Returns non-OK (and does not run `work`) when the pool is
   /// shut down; the caller runs it inline instead.
   Status Submit(std::function<void()> work) EXCLUDES(mu_);
@@ -96,7 +97,7 @@ class WorkerPool {
   core::CondVar work_cv_;  ///< signaled on new work and on shutdown
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   /// Fire-and-forget closures (Submit): drained after queue_ so frame
-  /// handling never starves the batch chunks of frames already running.
+  /// handling never starves the batch tasks of frames already running.
   std::deque<std::function<void()>> submitted_ GUARDED_BY(mu_);
   bool stopping_ GUARDED_BY(mu_) = false;
   /// Joinable workers; swapped out (under mu_) by the first Shutdown so
@@ -227,16 +228,6 @@ class Server {
       EXCLUDES(stats_mu_);
   std::string StatsLine(const Json& id) EXCLUDES(stats_mu_);
   std::string MethodsLine(const Json& id);
-
-  /// Partitions `requests` across the worker pool (one serial
-  /// ImputeBatch chunk per worker) and returns results aligned with the
-  /// input — byte-identical to one in-process ImputeBatch call. When
-  /// `query_seconds` is non-null it receives per-query wall times aligned
-  /// with the input (the latency percentile feed).
-  std::vector<Result<api::ImputeResponse>> DispatchBatch(
-      const api::ImputationModel& model,
-      std::span<const api::ImputeRequest> requests,
-      std::vector<double>* query_seconds = nullptr);
 
   ServerOptions options_;
   api::ModelCache cache_;

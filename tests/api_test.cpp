@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <thread>
 
 #include "api/adapters.h"
 #include "api/registry.h"
@@ -301,43 +304,183 @@ TEST(ApiTest, BatchMatchesSingleQueries) {
   }
 }
 
-TEST(ApiTest, ParallelBatchMatchesSerialBatch) {
-  // The threads= spec parameter partitions the batch across workers (one
-  // search scratch each); results and alignment must be identical to the
-  // serial path, including per-query failures.
-  const auto trips = MakeTrips();
-  auto serial = MakeModel("habit:r=9,t=0", trips).MoveValue();
-  auto parallel = MakeModel("habit:r=9,t=0,threads=4", trips).MoveValue();
-
-  std::vector<ImputeRequest> requests;
-  for (int i = 0; i < 10; ++i) {
-    ImputeRequest req;
-    req.gap_start = {55.05 + 0.01 * i, 11.0};
-    req.gap_end = {55.15 + 0.02 * i, 11.0};
+// A batch of n gaps over both lanes, some typed and some not, with three
+// bad requests interleaved once n >= 3: a non-finite coordinate, a
+// negative time span, and an off-data gap no graph can reach.
+std::vector<ImputeRequest> MixedBatch(size_t n) {
+  std::vector<ImputeRequest> requests(n);
+  for (size_t i = 0; i < n; ++i) {
+    ImputeRequest& req = requests[i];
+    const bool tanker = i % 2 == 1;
+    const double lng = tanker ? 11.3 : 11.0;
+    req.gap_start = {55.02 + 0.004 * static_cast<double>(i % 10), lng};
+    req.gap_end = {req.gap_start.lat + 0.05 + 0.01 * static_cast<double>(i % 5),
+                   lng};
     req.t_start = 1000000;
-    req.t_end = 1003600;
-    requests.push_back(req);
+    req.t_end = 1003600 + static_cast<int64_t>(i);
+    if (i % 3 != 0) {
+      req.vessel_type =
+          tanker ? ais::VesselType::kTanker : ais::VesselType::kPassenger;
+    }
   }
-  requests[4].gap_start = {40.0, -20.0};  // far off-data: must fail
-  requests[4].gap_end = {40.5, -20.0};
+  if (n >= 3) {
+    requests[n / 4].gap_start.lat = std::numeric_limits<double>::quiet_NaN();
+    requests[n / 2].t_end = requests[n / 2].t_start - 1;
+    requests[3 * n / 4].gap_start = {40.0, -20.0};
+    requests[3 * n / 4].gap_end = {40.5, -20.0};
+    requests[3 * n / 4].vessel_type.reset();
+  }
+  return requests;
+}
 
-  std::vector<double> serial_seconds, parallel_seconds;
-  const auto want = serial->ImputeBatch(requests, &serial_seconds);
-  const auto got = parallel->ImputeBatch(requests, &parallel_seconds);
+// `got` answers exactly what `want` does: status code and message, path
+// doubles bit for bit, timestamps and `expanded`; `seconds` has one
+// positive entry per request.
+void ExpectSameAnswers(const std::vector<Result<ImputeResponse>>& want,
+                       const std::vector<Result<ImputeResponse>>& got,
+                       const std::vector<double>& seconds) {
   ASSERT_EQ(got.size(), want.size());
-  ASSERT_EQ(parallel_seconds.size(), requests.size());
+  ASSERT_EQ(seconds.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_GT(seconds[i], 0.0) << i;
     ASSERT_EQ(got[i].ok(), want[i].ok()) << i;
-    EXPECT_GT(parallel_seconds[i], 0.0) << i;
     if (!want[i].ok()) {
       EXPECT_EQ(got[i].status().code(), want[i].status().code()) << i;
+      EXPECT_EQ(got[i].status().message(), want[i].status().message()) << i;
       continue;
     }
-    ASSERT_EQ(got[i].value().path.size(), want[i].value().path.size()) << i;
-    for (size_t j = 0; j < want[i].value().path.size(); ++j) {
-      EXPECT_EQ(got[i].value().path[j], want[i].value().path[j]);
+    const ImputeResponse& w = want[i].value();
+    const ImputeResponse& g = got[i].value();
+    ASSERT_EQ(g.path.size(), w.path.size()) << i;
+    for (size_t j = 0; j < w.path.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(g.path[j].lat),
+                std::bit_cast<uint64_t>(w.path[j].lat))
+          << i << "/" << j;
+      EXPECT_EQ(std::bit_cast<uint64_t>(g.path[j].lng),
+                std::bit_cast<uint64_t>(w.path[j].lng))
+          << i << "/" << j;
     }
-    EXPECT_EQ(got[i].value().timestamps, want[i].value().timestamps);
+    EXPECT_EQ(g.timestamps, w.timestamps) << i;
+    EXPECT_EQ(g.expanded, w.expanded) << i;
+  }
+}
+
+// The reference answers: one serial Impute per request, which no batch
+// ordering or worker can touch.
+std::vector<Result<ImputeResponse>> OneByOne(
+    const ImputationModel& model, const std::vector<ImputeRequest>& requests) {
+  std::vector<Result<ImputeResponse>> out;
+  for (const ImputeRequest& request : requests) {
+    out.push_back(model.Impute(request));
+  }
+  return out;
+}
+
+// A worker source running `body` on up to `cap` spawned threads.
+ImputationModel::WorkerSource SpawningSource(size_t cap) {
+  return [cap](size_t max_workers, const std::function<void()>& body) {
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < std::min(cap, max_workers); ++w) {
+      threads.emplace_back(body);
+    }
+    for (std::thread& t : threads) t.join();
+    return Status::OK();
+  };
+}
+
+TEST(ApiTest, ParallelBatchMatchesSerialBatch) {
+  // However many workers claim from the batch cursor, and from whichever
+  // source they come, every answer equals the serial model's one-by-one
+  // answer, aligned with the input, per-query failures included.
+  const auto trips = MakeTrips();
+  for (const std::string method : {"habit", "habit_typed"}) {
+    const std::string base = method + ":r=9,t=0";
+    auto serial = MakeModel(base, trips).MoveValue();
+    for (const int threads : {2, 3, 4, 7, 64}) {
+      auto parallel =
+          MakeModel(base + ",threads=" + std::to_string(threads), trips)
+              .MoveValue();
+      for (const size_t n : {0, 1, 3, 40}) {
+        SCOPED_TRACE(method + " threads=" + std::to_string(threads) +
+                     " n=" + std::to_string(n));
+        const std::vector<ImputeRequest> requests = MixedBatch(n);
+        std::vector<double> got_seconds;
+        const auto want = OneByOne(*serial, requests);
+        // The fixture really mixes answers and failures: only the three
+        // bad requests fail.
+        const size_t failed = static_cast<size_t>(
+            std::count_if(want.begin(), want.end(),
+                          [](const auto& r) { return !r.ok(); }));
+        EXPECT_EQ(failed, n >= 3 ? 3u : 0u);
+        ExpectSameAnswers(want,
+                          parallel->ImputeBatch(requests, &got_seconds),
+                          got_seconds);
+        ExpectSameAnswers(want, serial->ImputeBatch(requests, &got_seconds),
+                          got_seconds);
+      }
+    }
+
+    const std::vector<ImputeRequest> requests = MixedBatch(40);
+    const auto want = OneByOne(*serial, requests);
+    {
+      // Three callers share one threads=4 model at once: the cursor and
+      // the scratches belong to each call, never to the model.
+      SCOPED_TRACE(method + " shared by three callers");
+      auto shared = MakeModel(base + ",threads=4", trips).MoveValue();
+      std::vector<std::vector<Result<ImputeResponse>>> got(3);
+      std::vector<std::vector<double>> seconds(3);
+      std::vector<std::thread> callers;
+      for (size_t c = 0; c < got.size(); ++c) {
+        callers.emplace_back([&, c] {
+          got[c] = shared->ImputeBatch(requests, &seconds[c]);
+        });
+      }
+      for (std::thread& t : callers) t.join();
+      for (size_t c = 0; c < got.size(); ++c) {
+        ExpectSameAnswers(want, got[c], seconds[c]);
+      }
+    }
+    {
+      // A source that runs the body once: that one worker claims it all.
+      SCOPED_TRACE(method + " single-call source");
+      std::vector<double> seconds;
+      const auto got = serial->ImputeBatch(
+          requests, &seconds,
+          [](size_t, const std::function<void()>& body) {
+            body();
+            return Status::OK();
+          });
+      ExpectSameAnswers(want, got, seconds);
+    }
+    {
+      // A source that fails without running the body fails every request
+      // with its status, and the timings stay aligned.
+      SCOPED_TRACE(method + " failing source");
+      std::vector<double> seconds;
+      const auto got = serial->ImputeBatch(
+          requests, &seconds, [](size_t, const std::function<void()>&) {
+            return Status::Internal("no workers");
+          });
+      ASSERT_EQ(got.size(), requests.size());
+      ASSERT_EQ(seconds.size(), requests.size());
+      for (const auto& result : got) {
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+        EXPECT_EQ(result.status().message(), "no workers");
+      }
+    }
+  }
+
+  // The baselines run through the same executor.
+  for (const std::string spec : {"gti", "palmto:r=8,timeout=5", "sli"}) {
+    SCOPED_TRACE(spec);
+    auto model = MakeModel(spec, trips).MoveValue();
+    const std::vector<ImputeRequest> requests = MixedBatch(12);
+    std::vector<double> got_seconds;
+    const auto want = OneByOne(*model, requests);
+    ExpectSameAnswers(
+        want, model->ImputeBatch(requests, &got_seconds, SpawningSource(4)),
+        got_seconds);
   }
 
   // Degenerate parameters are rejected loudly.

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,6 +28,7 @@
 #include "router/manifest.h"
 #include "router/router.h"
 #include "router/shard_builder.h"
+#include "server/frame.h"
 #include "server/line_client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -183,6 +185,59 @@ TEST(WorkerPoolStressTest, SubmittersRacingShutdownNeverDeadlockOrTear) {
   EXPECT_EQ(ran.load(), ok_batches.load() * kTasksPerBatch);
 }
 
+TEST(WorkerPoolStressTest, ImputeBatchesRacingShutdownAnswerWholeOrFailWhole) {
+  // Batches whose workers come from the pool, racing its shutdown: each
+  // batch either runs whole (every answer equals the serial one) or the
+  // pool refuses it and every request carries that error — never a batch
+  // half answered and half "not processed".
+  auto model = api::MakeModel("habit:r=8", MakeTrips());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  std::vector<api::ImputeRequest> requests;
+  for (int i = 0; i < 32; ++i) {
+    requests.push_back(LaneRequest(0.002 * (i % 16)));
+  }
+  const auto serial = model.value()->ImputeBatch(requests);
+
+  server::WorkerPool pool(3);
+  const api::ImputationModel::WorkerSource source =
+      [&pool](size_t workers, const std::function<void()>& body) {
+        return pool.RunAll(std::vector<std::function<void()>>(
+            std::min<size_t>(workers, 3), body));
+      };
+  std::atomic<int> whole{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      for (int b = 0; b < 10; ++b) {
+        const auto got = model.value()->ImputeBatch(requests, nullptr, source);
+        size_t same = 0, failed = 0;
+        for (size_t i = 0; i < got.size(); ++i) {
+          if (!got[i].ok()) {
+            ++failed;
+          } else if (got[i].value().path == serial[i].value().path) {
+            ++same;
+          }
+        }
+        if (same == requests.size()) {
+          whole.fetch_add(1);
+        } else if (failed == requests.size()) {
+          refused.fetch_add(1);
+        } else {
+          torn.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (whole.load() == 0 && refused.load() == 0) std::this_thread::yield();
+  pool.Shutdown();
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(whole.load() + refused.load(), 40);
+  EXPECT_GT(whole.load(), 0);
+}
+
 // ------------------------------------------------------------- ModelCache
 
 TEST(ModelCacheStressTest, ColdMissStormWithEvictionRacingInFlightBuilds) {
@@ -281,6 +336,106 @@ TEST(ServerStressTest, PipelinedClientsOverServeStreamStayCoherent) {
   }
   const api::ModelCache::Stats stats = server.cache().stats();
   EXPECT_EQ(stats.misses, 1u);  // one cold load across the whole storm
+  std::remove(snapshot.c_str());
+}
+
+TEST(ServerStressTest, PipelinedBatchFramesRacingShutdownNeverHang) {
+  // Several connections, JSON and binary, each pipeline 32-gap frames
+  // while another thread shuts the server down. Every frame is answered
+  // whole (the in-process bytes, or one error per request) or not at
+  // all, because shutdown closed its connection; no client read and no
+  // serve loop hangs.
+  const std::string snapshot = TmpPath("concurrency_stress_claim.snap");
+  ASSERT_TRUE(api::MakeModel("habit:r=8,save=" + snapshot, MakeTrips()).ok());
+  const std::string load_spec = "habit:load=" + snapshot;
+  std::vector<api::ImputeRequest> requests;
+  for (int i = 0; i < 32; ++i) {
+    requests.push_back(LaneRequest(0.002 * (i % 16)));
+  }
+  auto model = api::MakeModel(load_spec, {});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const std::string expected = server::BatchResponseLine(
+      model.value()->ImputeBatch(requests), Json());
+  const std::string line =
+      server::EncodeImputeBatchRequest(load_spec, requests);
+  auto parsed = server::ParseRequest(line, requests.size());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::string frame_bytes =
+      server::frame::EncodeRequestFrame(parsed.value());
+
+  server::ServerOptions options;
+  options.threads = 4;
+  options.max_batch = 64;
+  server::Server server(options);
+  ASSERT_TRUE(server.Listen(0).ok());
+  std::thread serve_thread([&server] { ASSERT_TRUE(server.Serve().ok()); });
+
+  const auto whole = [&](const std::string& response) {
+    if (response == expected) return true;
+    const Json frame = MustParse(response);
+    const Json* results = frame.Find("results");
+    if (results == nullptr || results->items().size() != requests.size()) {
+      return false;
+    }
+    for (const Json& result : results->items()) {
+      const Json* ok = result.Find("ok");
+      if (ok == nullptr || ok->bool_value()) return false;
+    }
+    return true;
+  };
+  constexpr int kClients = 4;
+  constexpr int kFrames = 12;
+  std::atomic<int> answered{0};
+  std::vector<int> partial(kClients, 0);
+  std::vector<std::string> last_error(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      server::ClientOptions client_options;
+      client_options.connect_timeout_ms = 10000;
+      client_options.io_timeout_ms = 30000;  // a hang fails, never wedges
+      client_options.binary = (c % 2 == 1);
+      server::LineClient client(server.bound_port(), client_options);
+      if (!client.connected()) return;  // shutdown won the race
+      std::string pipelined;
+      for (int f = 0; f < kFrames; ++f) {
+        pipelined += client.binary() ? frame_bytes : line + "\n";
+      }
+      if (!client.SendRaw(pipelined)) return;
+      for (int f = 0; f < kFrames; ++f) {
+        std::string response;
+        if (client.binary()) {
+          std::string payload;
+          if (!client.ReadFrame(&payload)) break;
+          auto decoded = server::frame::DecodeResponsePayload(payload);
+          if (!decoded.ok()) break;
+          response = server::frame::ResponseToJsonLine(decoded.value());
+        } else if (!client.ReadLine(&response)) {
+          break;
+        }
+        if (!whole(response)) ++partial[static_cast<size_t>(c)];
+        answered.fetch_add(1);
+      }
+      last_error[static_cast<size_t>(c)] = client.last_error();
+    });
+  }
+  std::atomic<bool> clients_done{false};
+  std::thread closer([&] {
+    while (answered.load() < kClients && !clients_done.load()) {
+      std::this_thread::yield();
+    }
+    server.Shutdown();
+  });
+  for (std::thread& t : clients) t.join();
+  clients_done.store(true);
+  closer.join();
+  serve_thread.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_EQ(partial[static_cast<size_t>(c)], 0) << "client " << c;
+    EXPECT_NE(last_error[static_cast<size_t>(c)], "read timed out")
+        << "client " << c;
+  }
+  EXPECT_GE(answered.load(), kClients);
   std::remove(snapshot.c_str());
 }
 

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "api/registry.h"
+#include "server/frame.h"
 #include "server/json.h"
 #include "server/line_client.h"
 #include "server/protocol.h"
@@ -378,6 +380,79 @@ TEST_F(ServerTest, BatchMatchesInProcessImputeBatchByteForByte) {
   const std::string single =
       server.HandleLine(EncodeImputeRequest(*load_spec_, requests[0]));
   EXPECT_EQ(single, ImputeResponseLine(expected_results[0], Json()));
+}
+
+// Serves `requests` as one impute_batch frame over both protocols and
+// expects each answer to be byte-identical to in-process serial
+// ImputeBatch over the same spec.
+void ExpectServedMatchesInProcess(
+    Server& server, const std::string& spec,
+    const std::vector<api::ImputeRequest>& requests) {
+  auto model = api::MakeModel(spec, {});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const auto want = model.value()->ImputeBatch(requests);
+  EXPECT_EQ(server.HandleLine(EncodeImputeBatchRequest(spec, requests)),
+            BatchResponseLine(want, Json()));
+  Request request;
+  request.op = Request::Op::kImputeBatch;
+  request.model = spec;
+  request.requests = requests;
+  EXPECT_EQ(server.HandleFrame(
+                frame::EncodeRequestFrame(request).substr(frame::kHeaderBytes)),
+            frame::EncodeResultsFrame(want, Json(), /*batch=*/true));
+}
+
+TEST_F(ServerTest, FramesClaimedByThePoolMatchInProcessByteForByte) {
+  auto model = api::MakeModel(*load_spec_, {});
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  // 40 gaps of different lengths, sorted by serial search effort so the
+  // heaviest sit in the frame's first quarter: a fixed split would hand
+  // them all to one worker.
+  std::vector<api::ImputeRequest> gaps;
+  for (int i = 0; i < 40; ++i) {
+    api::ImputeRequest req = LaneRequest();
+    req.gap_start.lat = 55.01 + 0.003 * (i % 10);
+    req.gap_end.lat = 55.08 + 0.0045 * i;
+    gaps.push_back(req);
+  }
+  const auto serial = model.value()->ImputeBatch(gaps);
+  std::vector<size_t> order(gaps.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return serial[a].value().expanded > serial[b].value().expanded;
+  });
+  std::vector<api::ImputeRequest> heavy_first;
+  for (const size_t i : order) heavy_first.push_back(gaps[i]);
+  ASSERT_GT(serial[order.front()].value().expanded,
+            serial[order.back()].value().expanded);
+
+  Server server(SmallOptions());
+  ExpectServedMatchesInProcess(server, *load_spec_, heavy_first);
+  const Json stats = MustParse(server.HandleLine("{\"op\":\"stats\"}"));
+  const Json& entry = stats.Find("models")->items()[0];
+  EXPECT_EQ(entry.Find("queries_ok")->number_value() +
+                entry.Find("queries_failed")->number_value(),
+            80.0);  // 40 over each protocol
+  EXPECT_EQ(entry.Find("latency_count")->number_value(), 80.0);
+
+  // Fewer gaps than workers, and one more than workers.
+  for (const size_t n : {size_t{1}, size_t{3},
+                         static_cast<size_t>(server.workers()) + 1}) {
+    SCOPED_TRACE(n);
+    ExpectServedMatchesInProcess(
+        server, *load_spec_,
+        std::vector<api::ImputeRequest>(heavy_first.begin(),
+                                        heavy_first.begin() + n));
+  }
+
+  // A baseline runs through the same executor when served.
+  const std::string gti_path =
+      (std::filesystem::temp_directory_path() / "server_test_gti.snap")
+          .string();
+  ASSERT_TRUE(api::MakeModel("gti:save=" + gti_path, MakeTrips()).ok());
+  ExpectServedMatchesInProcess(server, "gti:load=" + gti_path, heavy_first);
+  std::remove(gti_path.c_str());
 }
 
 TEST_F(ServerTest, ConcurrentClientsShareOneColdLoadAndAgreeByteForByte) {
