@@ -124,6 +124,7 @@ Result<core::HabitConfig> ParseHabitConfig(const MethodSpec& spec) {
                          spec.GetDouble("t", config.rdp_tolerance_m));
   HABIT_ASSIGN_OR_RETURN(config.max_snap_ring,
                          spec.GetInt("snap", config.max_snap_ring));
+  HABIT_RETURN_NOT_OK(core::CheckSnapRing(config.max_snap_ring));
 
   const std::string p = spec.GetString("p", "");
   if (p == "c") {

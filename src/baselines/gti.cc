@@ -142,11 +142,7 @@ Result<std::unique_ptr<GtiModel>> GtiModel::Load(const std::string& path,
                                                  bool mapped) {
   HABIT_ASSIGN_OR_RETURN(
       graph::SnapshotReader reader,
-      mapped
-          ? graph::SnapshotReader::FromFileMapped(path,
-                                                  graph::SnapshotKind::kGti)
-          : graph::SnapshotReader::FromFile(path,
-                                            graph::SnapshotKind::kGti));
+      graph::SnapshotReader::Open(path, graph::SnapshotKind::kGti, mapped));
   auto model = std::unique_ptr<GtiModel>(new GtiModel());
   HABIT_ASSIGN_OR_RETURN(model->config_.rm_meters, reader.F64());
   HABIT_ASSIGN_OR_RETURN(model->config_.rd_degrees, reader.F64());

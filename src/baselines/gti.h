@@ -47,8 +47,7 @@ class GtiModel {
   /// candidate-edge search, no re-freeze. Imputation output is identical
   /// to the model that was saved. With `mapped` true the point graph's
   /// CSR arrays are served in place from the mmap'd file (the point store
-  /// is still copied: the KD-tree rebuild walks it anyway); v1 snapshots
-  /// fall back to copying.
+  /// is still copied: the KD-tree rebuild walks it anyway).
   static Result<std::unique_ptr<GtiModel>> Load(const std::string& path,
                                                 bool mapped = false);
 

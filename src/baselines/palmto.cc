@@ -185,10 +185,8 @@ Result<std::unique_ptr<PalmtoModel>> PalmtoModel::Load(
     const std::string& path, bool mapped) {
   HABIT_ASSIGN_OR_RETURN(
       graph::SnapshotReader reader,
-      mapped ? graph::SnapshotReader::FromFileMapped(
-                   path, graph::SnapshotKind::kPalmto)
-             : graph::SnapshotReader::FromFile(
-                   path, graph::SnapshotKind::kPalmto));
+      graph::SnapshotReader::Open(path, graph::SnapshotKind::kPalmto,
+                                  mapped));
   auto model = std::unique_ptr<PalmtoModel>(new PalmtoModel());
   HABIT_ASSIGN_OR_RETURN(const int64_t resolution, reader.I64());
   HABIT_ASSIGN_OR_RETURN(const int64_t n, reader.I64());

@@ -11,7 +11,7 @@
 // of two backings —
 //   owned   vectors filled by Freeze() or the copying snapshot loader
 //           (graph/snapshot.h), heap-resident;
-//   mapped  a single MmapRegion holding a v2 snapshot whose arrays are
+//   mapped  a single MmapRegion holding a snapshot whose arrays are
 //           64-byte aligned on disk, so the graph serves directly from the
 //           kernel page cache with zero copies (LoadGraphSnapshotMapped).
 // Both backings are immutable and held by shared_ptr, so copying a
@@ -81,8 +81,8 @@ struct LandmarkSet {
 /// `num_nodes` nodes: k within [0, kMaxLandmarks], landmark indices
 /// in-range and strictly ascending-free (distinct), column sizes k * n,
 /// every distance finite-or-+inf and non-negative. Shared by
-/// CompactGraph::AttachLandmarks and the snapshot loaders (a mapped v3
-/// load skips the checksum, so this is its only line of defense against a
+/// CompactGraph::AttachLandmarks and the snapshot loaders (a mapped load
+/// skips the checksum, so this is its only line of defense against a
 /// garbage landmark section).
 Status ValidateLandmarks(size_t num_nodes, std::span<const NodeIndex> nodes,
                          std::span<const double> from,
@@ -244,8 +244,8 @@ class CompactGraph {
  private:
   friend class Digraph;  // Freeze() fills an Arrays block directly
   // Binary snapshot I/O (graph/snapshot.h) dumps the column views and
-  // restores either owned arrays (copy load) or mapped views (v2 mmap
-  // load), bypassing the Digraph build path.
+  // restores either owned arrays (copy load) or mapped views (mmap load),
+  // bypassing the Digraph build path.
   friend void AppendGraphSection(SnapshotWriter& writer,
                                  const CompactGraph& g);
   friend Result<CompactGraph> ReadGraphSection(SnapshotReader& reader);
@@ -323,7 +323,7 @@ class CompactGraph {
   std::shared_ptr<const Arrays> owned_;
   std::shared_ptr<const MmapRegion> mapped_;
   /// Backing for landmark columns attached in-process or copy-loaded (a
-  /// mapped v3 snapshot serves them through mapped_ instead).
+  /// mapped snapshot serves them through mapped_ instead).
   std::shared_ptr<const LandmarkSet> landmarks_owned_;
   /// id -> bucket start positions (size id_bucket_count_ + 1), built at
   /// freeze/load time; always owned (it is derived, not persisted).

@@ -57,8 +57,7 @@ Result<MmapRegion> MmapRegion::MapFile(const std::string& path) {
   region.size_ = static_cast<size_t>(st.st_size);
   return region;
 #else
-  return Status::IoError("file mapping is not available on this platform; "
-                         "use the copying loader");
+  return Status::IoError("file mapping is not available on this platform");
 #endif
 }
 

@@ -19,11 +19,10 @@ namespace habit::graph {
 /// \brief Move-only owner of a read-only file mapping.
 class MmapRegion {
  public:
-  /// Maps the whole file read-only. Fails on platforms without mmap —
-  /// map=1 is an explicit opt-in and errors there rather than silently
-  /// degrading; the copying loaders remain the portable path — and on
-  /// empty files (an empty snapshot is shorter than its header, so it is
-  /// never valid).
+  /// Maps the whole file read-only. Fails on platforms without mmap (every
+  /// snapshot load reads its file through a mapping) and on empty files
+  /// (an empty snapshot is shorter than its header, so it is never
+  /// valid).
   static Result<MmapRegion> MapFile(const std::string& path);
 
   MmapRegion() = default;

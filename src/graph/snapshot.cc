@@ -1,5 +1,6 @@
 #include "graph/snapshot.h"
 
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <utility>
@@ -29,12 +30,8 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 constexpr size_t kChecksumBytes = sizeof(uint64_t);
 
-bool VersionSupported(uint32_t version) {
-  return version >= 1 && version <= kSnapshotVersion;
-}
-
 // Parses and sanity-checks the fixed-size header fields against the total
-// file size. Shared by every load path (copying, mapped, probe).
+// file size. Shared by every load path (copying, mapped, inspect, probe).
 Status ParseHeader(const char* bytes, uint64_t file_size,
                    const std::string& path, SnapshotInfo* info) {
   uint32_t header[3];
@@ -45,11 +42,11 @@ Status ParseHeader(const char* bytes, uint64_t file_size,
     return Status::InvalidArgument("'" + path + "' is not a model snapshot "
                                    "(bad magic)");
   }
-  if (!VersionSupported(header[1])) {
+  if (header[1] != kSnapshotVersion) {
     return Status::InvalidArgument(
-        "snapshot '" + path + "' has version " + std::to_string(header[1]) +
-        " (this build reads versions 1.." +
-        std::to_string(kSnapshotVersion) + ")");
+        "snapshot '" + path + "' has container version " +
+        std::to_string(header[1]) + ", but this build reads only version " +
+        std::to_string(kSnapshotVersion) + " (re-save it with this build)");
   }
   if (payload_bytes != file_size - kSnapshotHeaderBytes - kChecksumBytes) {
     return Status::IoError("snapshot '" + path +
@@ -74,7 +71,7 @@ Status SnapshotWriter::WriteToFile(const std::string& path,
     if (f == nullptr) {
       return Status::IoError("cannot open '" + tmp_path + "' for writing");
     }
-    const uint32_t header[3] = {kSnapshotMagic, version_,
+    const uint32_t header[3] = {kSnapshotMagic, kSnapshotVersion,
                                 static_cast<uint32_t>(kind)};
     const uint64_t payload_bytes = payload_.size();
     const uint64_t checksum = Fnv1a64(payload_.data(), payload_.size());
@@ -100,49 +97,39 @@ Status SnapshotWriter::WriteToFile(const std::string& path,
 
 namespace {
 
-// Shared header parse for FromFile and InspectSnapshot: reads the whole
-// file, validates magic/version/length/checksum, and hands back the header
-// fields plus the payload bytes.
-Result<std::pair<SnapshotInfo, std::vector<char>>> ReadAndVerify(
-    const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::IoError("cannot open snapshot '" + path + "'");
-  }
-  std::fseek(f.get(), 0, SEEK_END);
-  const long file_size = std::ftell(f.get());
-  std::fseek(f.get(), 0, SEEK_SET);
-  if (file_size < 0 || static_cast<size_t>(file_size) <
-                           kSnapshotHeaderBytes + kChecksumBytes) {
+// A mapped snapshot whose header has been validated against the file size.
+// info.checksum holds the *stored* checksum; nothing has been hashed yet.
+struct MappedSnapshot {
+  SnapshotInfo info;
+  std::shared_ptr<const MmapRegion> region;
+};
+
+Result<MappedSnapshot> MapSnapshot(const std::string& path) {
+  HABIT_ASSIGN_OR_RETURN(MmapRegion mapped, MmapRegion::MapFile(path));
+  if (mapped.size() < kSnapshotHeaderBytes + kChecksumBytes) {
     return Status::IoError("snapshot '" + path + "' is truncated");
   }
+  MappedSnapshot snap;
+  HABIT_RETURN_NOT_OK(
+      ParseHeader(mapped.data(), mapped.size(), path, &snap.info));
+  std::memcpy(&snap.info.checksum,
+              mapped.data() + mapped.size() - kChecksumBytes, kChecksumBytes);
+  snap.region = std::make_shared<const MmapRegion>(std::move(mapped));
+  return snap;
+}
 
-  char header_bytes[kSnapshotHeaderBytes];
-  if (std::fread(header_bytes, sizeof(header_bytes), 1, f.get()) != 1) {
-    return Status::IoError("cannot read snapshot header of '" + path + "'");
-  }
-  SnapshotInfo info;
-  HABIT_RETURN_NOT_OK(ParseHeader(header_bytes,
-                                  static_cast<uint64_t>(file_size), path,
-                                  &info));
+const char* PayloadOf(const MappedSnapshot& snap) {
+  return snap.region->data() + kSnapshotHeaderBytes;
+}
 
-  std::vector<char> payload(info.payload_bytes);
-  if (!payload.empty() &&
-      std::fread(payload.data(), payload.size(), 1, f.get()) != 1) {
-    return Status::IoError("cannot read snapshot payload of '" + path + "'");
-  }
-  uint64_t stored_checksum = 0;
-  if (std::fread(&stored_checksum, sizeof(stored_checksum), 1, f.get()) != 1) {
-    return Status::IoError("cannot read snapshot checksum of '" + path + "'");
-  }
-  const uint64_t computed = Fnv1a64(payload.data(), payload.size());
-  if (computed != stored_checksum) {
+// Recomputes the payload hash: pages in every byte of the file.
+Status VerifyChecksum(const MappedSnapshot& snap, const std::string& path) {
+  if (Fnv1a64(PayloadOf(snap), snap.info.payload_bytes) !=
+      snap.info.checksum) {
     return Status::IoError("snapshot '" + path +
                            "' is corrupt (checksum mismatch)");
   }
-
-  info.checksum = stored_checksum;
-  return std::make_pair(info, std::move(payload));
+  return Status::OK();
 }
 
 Status CheckKind(SnapshotKind got, SnapshotKind expected,
@@ -156,57 +143,27 @@ Status CheckKind(SnapshotKind got, SnapshotKind expected,
 
 }  // namespace
 
-Result<SnapshotReader> SnapshotReader::FromFile(const std::string& path,
-                                                SnapshotKind expected_kind) {
-  HABIT_ASSIGN_OR_RETURN(auto verified, ReadAndVerify(path));
-  HABIT_RETURN_NOT_OK(CheckKind(verified.first.kind, expected_kind, path));
+Result<SnapshotReader> SnapshotReader::Open(const std::string& path,
+                                            SnapshotKind expected_kind,
+                                            bool zero_copy) {
+  HABIT_ASSIGN_OR_RETURN(MappedSnapshot snap, MapSnapshot(path));
+  HABIT_RETURN_NOT_OK(CheckKind(snap.info.kind, expected_kind, path));
+  // Only the copy load hashes the payload: it reads every byte anyway,
+  // while for a zero-copy load hashing would be the O(model-size) work the
+  // mapped path exists to avoid.
+  if (!zero_copy) HABIT_RETURN_NOT_OK(VerifyChecksum(snap, path));
   SnapshotReader reader;
-  reader.buffer_ = std::move(verified.second);
-  reader.payload_ = reader.buffer_;
-  reader.version_ = verified.first.version;
-  return reader;
-}
-
-Result<SnapshotReader> SnapshotReader::FromFileMapped(
-    const std::string& path, SnapshotKind expected_kind) {
-  HABIT_ASSIGN_OR_RETURN(MmapRegion mapped, MmapRegion::MapFile(path));
-  if (mapped.size() < kSnapshotHeaderBytes + kChecksumBytes) {
-    return Status::IoError("snapshot '" + path + "' is truncated");
-  }
-  SnapshotInfo info;
-  HABIT_RETURN_NOT_OK(
-      ParseHeader(mapped.data(), mapped.size(), path, &info));
-  HABIT_RETURN_NOT_OK(CheckKind(info.kind, expected_kind, path));
-  SnapshotReader reader;
-  auto region = std::make_shared<const MmapRegion>(std::move(mapped));
-  reader.payload_ = {region->data() + kSnapshotHeaderBytes,
-                     static_cast<size_t>(info.payload_bytes)};
-  reader.region_ = std::move(region);
-  reader.version_ = info.version;
-  if (!reader.CanView()) {
-    // The v1 fallback copies every payload byte out of the mapping
-    // anyway, so skipping the checksum there would drop integrity
-    // checking for zero latency benefit — verify it. Only genuinely
-    // zero-copy (v2) loads skip the recompute: hashing would page in
-    // every byte, the O(model-size) work the mapped path exists to
-    // avoid; structural validation still rejects malformed graphs, and
-    // FromFile / InspectSnapshot remain the bit-rot-detecting paths.
-    uint64_t stored_checksum = 0;
-    std::memcpy(&stored_checksum,
-                reader.payload_.data() + reader.payload_.size(),
-                sizeof(stored_checksum));
-    if (Fnv1a64(reader.payload_.data(), reader.payload_.size()) !=
-        stored_checksum) {
-      return Status::IoError("snapshot '" + path +
-                             "' is corrupt (checksum mismatch)");
-    }
-  }
+  reader.payload_ = {PayloadOf(snap),
+                     static_cast<size_t>(snap.info.payload_bytes)};
+  reader.region_ = std::move(snap.region);
+  reader.zero_copy_ = zero_copy;
   return reader;
 }
 
 Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
-  HABIT_ASSIGN_OR_RETURN(auto verified, ReadAndVerify(path));
-  return verified.first;
+  HABIT_ASSIGN_OR_RETURN(const MappedSnapshot snap, MapSnapshot(path));
+  HABIT_RETURN_NOT_OK(VerifyChecksum(snap, path));
+  return snap.info;
 }
 
 Result<SnapshotInfo> ProbeSnapshot(const std::string& path) {
@@ -255,23 +212,18 @@ void AppendGraphSection(SnapshotWriter& writer, const CompactGraph& g) {
     writer.Array(g.median_sog_);
     writer.Array(g.median_cog_);
   }
-  // v3: the ALT landmark block closes the section (k = 0 when the graph
-  // carries no precomputation). Writers pinned to older versions (tests,
-  // compatibility artifacts) must emit a payload those parsers accept, so
-  // the block is version-gated — landmarks attached to the graph are then
-  // simply not persisted.
-  if (writer.version() >= 3) {
-    writer.U32(static_cast<uint32_t>(g.num_landmarks()));
-    writer.Array(g.landmark_nodes_);
-    writer.Array(g.landmark_from_);
-    writer.Array(g.landmark_to_);
-  }
+  // The ALT landmark block closes the section (k = 0 when the graph
+  // carries no precomputation).
+  writer.U32(static_cast<uint32_t>(g.num_landmarks()));
+  writer.Array(g.landmark_nodes_);
+  writer.Array(g.landmark_from_);
+  writer.Array(g.landmark_to_);
 }
 
 namespace {
 
-// The thirteen graph columns as raw views, independent of backing — the
-// one shape structural validation runs on for both load paths.
+// The graph columns as views into the mapped payload — the one shape both
+// loads parse into and validate.
 struct GraphCols {
   std::span<const NodeId> node_ids;
   std::span<const uint32_t> row_offsets;
@@ -287,29 +239,46 @@ struct GraphCols {
   std::span<const int64_t> distinct_vessels;
   std::span<const double> median_sog;
   std::span<const double> median_cog;
-  // v3 landmark block (empty spans on older versions).
+  uint32_t num_landmarks = 0;  ///< the landmark block's declared count
   std::span<const NodeIndex> landmark_nodes;
   std::span<const double> landmark_from;
   std::span<const double> landmark_to;
 };
 
-// The landmark block's own framing check: the explicit count must match
-// the node-index array (a cheap tamper tripwire ahead of the full
-// ValidateLandmarks scan, which a mapped v3 load relies on because it
-// never rehashes the payload).
-Status CheckLandmarkCount(uint64_t declared, size_t got) {
-  if (declared == got) return Status::OK();
-  return Status::IoError(
-      "graph snapshot: landmark count " + std::to_string(declared) +
-      " does not match the landmark node array (" + std::to_string(got) +
-      ")");
+Result<GraphCols> ReadGraphCols(SnapshotReader& reader) {
+  GraphCols c;
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.node_ids));
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.row_offsets));
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_dst));
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_weight));
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.in_degree));
+  HABIT_ASSIGN_OR_RETURN(const uint32_t has_attrs, reader.U32());
+  c.has_attrs = has_attrs != 0;
+  if (c.has_attrs) {
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_transitions));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_grid_distance));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.median_pos));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.center_pos));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.message_count));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.distinct_vessels));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.median_sog));
+    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.median_cog));
+  }
+  HABIT_ASSIGN_OR_RETURN(c.num_landmarks, reader.U32());
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.landmark_nodes));
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.landmark_from));
+  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.landmark_to));
+  return c;
 }
 
 // Structural invariants the search engine and IndexOf rely on. The
-// checksum catches bit rot (copying path); these catch a well-formed file
-// holding an impossible graph (hand-edited, version-spoofed, or written by
-// a buggy producer) on either path — and they must pass before the
-// id-lookup buckets are built, which assumes sorted ids.
+// checksum catches bit rot (copying path only); these catch a well-formed
+// file holding an impossible graph (hand-edited, or written by a buggy
+// producer) on both paths — and they must pass before the id-lookup
+// buckets are built, which assumes sorted ids. Weights must be finite and
+// non-negative: a NaN would break the search heap's strict weak ordering,
+// and a negative cost would make settled distances wrong. The landmark
+// columns get the same treatment (ValidateLandmarks).
 Status ValidateGraphCols(const GraphCols& c) {
   const size_t n = c.node_ids.size();
   const size_t m = c.edge_dst.size();
@@ -340,6 +309,12 @@ Status ValidateGraphCols(const GraphCols& c) {
     return Status::IoError("graph snapshot: degree arrays inconsistent "
                            "with the edge count");
   }
+  for (const double w : c.edge_weight) {
+    if (!std::isfinite(w) || w < 0.0) {
+      return Status::IoError("graph snapshot: edge weight is negative or "
+                             "not finite");
+    }
+  }
   if (c.has_attrs &&
       (c.edge_transitions.size() != m || c.edge_grid_distance.size() != m ||
        c.median_pos.size() != n || c.center_pos.size() != n ||
@@ -347,123 +322,69 @@ Status ValidateGraphCols(const GraphCols& c) {
        c.median_sog.size() != n || c.median_cog.size() != n)) {
     return Status::IoError("graph snapshot: attribute columns misaligned");
   }
-  return Status::OK();
+  // The landmark block's explicit count must match its node array (a
+  // cheap tamper tripwire ahead of the full column scan).
+  if (c.num_landmarks != c.landmark_nodes.size()) {
+    return Status::IoError(
+        "graph snapshot: landmark count " + std::to_string(c.num_landmarks) +
+        " does not match the landmark node array (" +
+        std::to_string(c.landmark_nodes.size()) + ")");
+  }
+  return ValidateLandmarks(n, c.landmark_nodes, c.landmark_from,
+                           c.landmark_to);
 }
 
-// The validation view of an owned CompactGraph::Arrays block (one shared
-// column enumeration for the copy path instead of a second hand-bound
-// list). Templated so the private nested type is deduced at the friend
-// call site rather than named here.
-template <typename ArraysT>
-GraphCols ColsOfArrays(const ArraysT& a, bool has_attrs) {
-  GraphCols c;
-  c.node_ids = a.node_ids;
-  c.row_offsets = a.row_offsets;
-  c.edge_dst = a.edge_dst;
-  c.edge_weight = a.edge_weight;
-  c.in_degree = a.in_degree;
-  c.has_attrs = has_attrs;
-  c.edge_transitions = a.edge_transitions;
-  c.edge_grid_distance = a.edge_grid_distance;
-  c.median_pos = a.median_pos;
-  c.center_pos = a.center_pos;
-  c.message_count = a.message_count;
-  c.distinct_vessels = a.distinct_vessels;
-  c.median_sog = a.median_sog;
-  c.median_cog = a.median_cog;
-  return c;
-}
-
-// Reads the graph section as zero-copy views over the reader's mapping.
-Result<GraphCols> ReadGraphColsMapped(SnapshotReader& reader) {
-  GraphCols c;
-  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.node_ids));
-  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.row_offsets));
-  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_dst));
-  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_weight));
-  HABIT_RETURN_NOT_OK(reader.ArrayView(&c.in_degree));
-  HABIT_ASSIGN_OR_RETURN(const uint32_t has_attrs, reader.U32());
-  c.has_attrs = has_attrs != 0;
-  if (c.has_attrs) {
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_transitions));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.edge_grid_distance));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.median_pos));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.center_pos));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.message_count));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.distinct_vessels));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.median_sog));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.median_cog));
-  }
-  if (reader.version() >= 3) {
-    HABIT_ASSIGN_OR_RETURN(const uint32_t k, reader.U32());
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.landmark_nodes));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.landmark_from));
-    HABIT_RETURN_NOT_OK(reader.ArrayView(&c.landmark_to));
-    HABIT_RETURN_NOT_OK(CheckLandmarkCount(k, c.landmark_nodes.size()));
-  }
-  return c;
+template <typename T>
+std::vector<T> Own(std::span<const T> view) {
+  return std::vector<T>(view.begin(), view.end());
 }
 
 }  // namespace
 
 Result<CompactGraph> ReadGraphSection(SnapshotReader& reader) {
-  if (reader.CanView()) {
-    HABIT_ASSIGN_OR_RETURN(const GraphCols c, ReadGraphColsMapped(reader));
-    HABIT_RETURN_NOT_OK(ValidateGraphCols(c));
-    HABIT_RETURN_NOT_OK(ValidateLandmarks(c.node_ids.size(),
-                                          c.landmark_nodes, c.landmark_from,
-                                          c.landmark_to));
-    CompactGraph g;
-    g.node_ids_ = c.node_ids;
-    g.row_offsets_ = c.row_offsets;
-    g.edge_dst_ = c.edge_dst;
-    g.edge_weight_ = c.edge_weight;
-    g.in_degree_ = c.in_degree;
-    g.edge_transitions_ = c.edge_transitions;
-    g.edge_grid_distance_ = c.edge_grid_distance;
-    g.median_pos_ = c.median_pos;
-    g.center_pos_ = c.center_pos;
-    g.message_count_ = c.message_count;
-    g.distinct_vessels_ = c.distinct_vessels;
-    g.median_sog_ = c.median_sog;
-    g.median_cog_ = c.median_cog;
-    g.landmark_nodes_ = c.landmark_nodes;
-    g.landmark_from_ = c.landmark_from;
-    g.landmark_to_ = c.landmark_to;
-    g.AdoptMapped(reader.region());
+  HABIT_ASSIGN_OR_RETURN(const GraphCols c, ReadGraphCols(reader));
+  HABIT_RETURN_NOT_OK(ValidateGraphCols(c));
+  if (!reader.zero_copy()) {
+    CompactGraph g = CompactGraph::FromOwned({
+        .node_ids = Own(c.node_ids),
+        .row_offsets = Own(c.row_offsets),
+        .edge_dst = Own(c.edge_dst),
+        .edge_weight = Own(c.edge_weight),
+        .in_degree = Own(c.in_degree),
+        .edge_transitions = Own(c.edge_transitions),
+        .edge_grid_distance = Own(c.edge_grid_distance),
+        .median_pos = Own(c.median_pos),
+        .center_pos = Own(c.center_pos),
+        .message_count = Own(c.message_count),
+        .distinct_vessels = Own(c.distinct_vessels),
+        .median_sog = Own(c.median_sog),
+        .median_cog = Own(c.median_cog),
+    });
+    if (!c.landmark_nodes.empty()) {
+      HABIT_RETURN_NOT_OK(g.AttachLandmarks({Own(c.landmark_nodes),
+                                             Own(c.landmark_from),
+                                             Own(c.landmark_to)}));
+    }
     return g;
   }
-
-  CompactGraph::Arrays a;
-  HABIT_RETURN_NOT_OK(reader.Array(&a.node_ids));
-  HABIT_RETURN_NOT_OK(reader.Array(&a.row_offsets));
-  HABIT_RETURN_NOT_OK(reader.Array(&a.edge_dst));
-  HABIT_RETURN_NOT_OK(reader.Array(&a.edge_weight));
-  HABIT_RETURN_NOT_OK(reader.Array(&a.in_degree));
-  HABIT_ASSIGN_OR_RETURN(const uint32_t has_attrs, reader.U32());
-  if (has_attrs != 0) {
-    HABIT_RETURN_NOT_OK(reader.Array(&a.edge_transitions));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.edge_grid_distance));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.median_pos));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.center_pos));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.message_count));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.distinct_vessels));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.median_sog));
-    HABIT_RETURN_NOT_OK(reader.Array(&a.median_cog));
-  }
-  LandmarkSet landmarks;
-  if (reader.version() >= 3) {
-    HABIT_ASSIGN_OR_RETURN(const uint32_t k, reader.U32());
-    HABIT_RETURN_NOT_OK(reader.Array(&landmarks.nodes));
-    HABIT_RETURN_NOT_OK(reader.Array(&landmarks.from));
-    HABIT_RETURN_NOT_OK(reader.Array(&landmarks.to));
-    HABIT_RETURN_NOT_OK(CheckLandmarkCount(k, landmarks.nodes.size()));
-  }
-  HABIT_RETURN_NOT_OK(ValidateGraphCols(ColsOfArrays(a, has_attrs != 0)));
-  CompactGraph g = CompactGraph::FromOwned(std::move(a));
-  if (!landmarks.nodes.empty()) {
-    HABIT_RETURN_NOT_OK(g.AttachLandmarks(std::move(landmarks)));
-  }
+  CompactGraph g;
+  g.node_ids_ = c.node_ids;
+  g.row_offsets_ = c.row_offsets;
+  g.edge_dst_ = c.edge_dst;
+  g.edge_weight_ = c.edge_weight;
+  g.in_degree_ = c.in_degree;
+  g.edge_transitions_ = c.edge_transitions;
+  g.edge_grid_distance_ = c.edge_grid_distance;
+  g.median_pos_ = c.median_pos;
+  g.center_pos_ = c.center_pos;
+  g.message_count_ = c.message_count;
+  g.distinct_vessels_ = c.distinct_vessels;
+  g.median_sog_ = c.median_sog;
+  g.median_cog_ = c.median_cog;
+  g.landmark_nodes_ = c.landmark_nodes;
+  g.landmark_from_ = c.landmark_from;
+  g.landmark_to_ = c.landmark_to;
+  g.AdoptMapped(reader.region());
   return g;
 }
 
@@ -475,8 +396,10 @@ Status SaveGraphSnapshot(const CompactGraph& g, const std::string& path) {
 
 namespace {
 
-Result<CompactGraph> LoadGraphFromReader(SnapshotReader reader,
-                                         const std::string& path) {
+Result<CompactGraph> LoadGraph(const std::string& path, bool zero_copy) {
+  HABIT_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      SnapshotReader::Open(path, SnapshotKind::kCompactGraph, zero_copy));
   HABIT_ASSIGN_OR_RETURN(CompactGraph g, ReadGraphSection(reader));
   if (!reader.AtEnd()) {
     return Status::IoError("graph snapshot '" + path +
@@ -488,20 +411,11 @@ Result<CompactGraph> LoadGraphFromReader(SnapshotReader reader,
 }  // namespace
 
 Result<CompactGraph> LoadGraphSnapshot(const std::string& path) {
-  HABIT_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      SnapshotReader::FromFile(path, SnapshotKind::kCompactGraph));
-  return LoadGraphFromReader(std::move(reader), path);
+  return LoadGraph(path, /*zero_copy=*/false);
 }
 
 Result<CompactGraph> LoadGraphSnapshotMapped(const std::string& path) {
-  // A v1 snapshot (unpadded arrays) cannot be viewed in place; the mapped
-  // reader then copies each array out of the mapping — the documented
-  // fallback, same graph, owned backing.
-  HABIT_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      SnapshotReader::FromFileMapped(path, SnapshotKind::kCompactGraph));
-  return LoadGraphFromReader(std::move(reader), path);
+  return LoadGraph(path, /*zero_copy=*/true);
 }
 
 }  // namespace habit::graph

@@ -1,6 +1,6 @@
 // Binary model snapshots: a versioned, checksummed container format that
-// turns a trained model into a durable artifact loadable in O(read) — or,
-// for v2 snapshots, servable in place with zero copies (O(page-in)).
+// turns a trained model into a durable artifact loadable in O(read) — or
+// servable in place with zero copies (O(page-in)).
 //
 // Layout of every snapshot file:
 //
@@ -9,21 +9,26 @@
 //   [FNV-1a 64 checksum of payload u64]
 //
 // The payload is a sequence of scalars and length-prefixed flat arrays.
-// Version 2 pads each array so its data begins at a 64-byte aligned *file*
-// offset; since mmap bases are page-aligned, every column of a mapped v2+
-// snapshot can be viewed in place as a correctly aligned std::span with no
-// copy — the zero-copy serving path (SplinterDB-style: the kernel page
-// cache is the only resident copy). Version 3 (current) appends the ALT
-// landmark block to every embedded graph section — freeze-time
-// precomputation served through the same aligned-array machinery. Version
-// 1 files (no padding) stay loadable through the copying path.
+// Each array's data begins at a 64-byte aligned *file* offset; since mmap
+// bases are page-aligned, every column of a mapped snapshot can be viewed
+// in place as a correctly aligned std::span with no copy — the zero-copy
+// serving path (SplinterDB-style: the kernel page cache is the only
+// resident copy). Every embedded graph section ends with the ALT landmark
+// block — freeze-time precomputation served through the same
+// aligned-array machinery, k = 0 when none was run. Only version 3 is
+// read or written; files from builds that wrote versions 1 and 2 are
+// refused with an error naming the version.
 //
-// Loading is a validated bulk read — no Digraph rebuild, no re-freeze: the
-// CompactGraph loader fills the CSR arrays directly (or binds views into
-// the mapping) and only checks structural invariants (monotonic row
-// offsets, in-range edge targets, aligned column lengths). GTI and PaLMTO
-// snapshots (baselines/) reuse the same writer/reader and embed a graph
-// section via AppendGraphSection / ReadGraphSection.
+// Both loads map the file and parse it through one reader. The copy load
+// verifies the payload checksum first, then copies each validated column
+// into owned arrays; the mapped load skips the checksum and serves the
+// columns in place. Either way a graph section passes one structural
+// validation before it serves a query — sorted node ids, monotonic row
+// offsets, in-range edge targets, aligned column lengths, finite
+// non-negative edge weights, well-formed landmark columns — with no
+// Digraph rebuild and no re-freeze. GTI and PaLMTO snapshots (baselines/)
+// reuse the same writer/reader and embed a graph section via
+// AppendGraphSection / ReadGraphSection.
 //
 // The checksum doubles as a cheap model fingerprint (see InspectSnapshot /
 // ProbeSnapshot): two snapshots with equal checksums were built from
@@ -46,14 +51,13 @@ namespace habit::graph {
 
 /// First bytes of every snapshot file ("HBSN", little-endian).
 inline constexpr uint32_t kSnapshotMagic = 0x4E534248;
-/// Bumped whenever the payload layout of any kind changes. Version 2 adds
-/// per-array alignment padding; version 3 adds the landmark block at the
-/// end of every graph section (k = 0 when no precomputation was run).
-/// Readers accept 1 (copy-load only), 2, and 3.
+/// Bumped whenever the payload layout of any kind changes. Version 2 added
+/// per-array alignment padding, version 3 the landmark block at the end of
+/// every graph section. Readers accept only the current version.
 inline constexpr uint32_t kSnapshotVersion = 3;
-/// Every v2 array's data starts at a file offset that is a multiple of
-/// this (covers the strictest column alignment — double/int64/uint64 need
-/// 8 — with headroom for future SIMD-friendly columns).
+/// Every array's data starts at a file offset that is a multiple of this
+/// (covers the strictest column alignment — double/int64/uint64 need 8 —
+/// with headroom for future SIMD-friendly columns).
 inline constexpr size_t kSnapshotArrayAlignment = 64;
 /// magic + version + kind + payload length.
 inline constexpr size_t kSnapshotHeaderBytes =
@@ -76,26 +80,21 @@ enum class SnapshotKind : uint32_t {
 /// header + payload + checksum to disk in one pass.
 class SnapshotWriter {
  public:
-  /// Writes the given container version (tests use 1 to produce legacy
-  /// artifacts; everything else should keep the default).
-  explicit SnapshotWriter(uint32_t version = kSnapshotVersion)
-      : version_(version) {}
-
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void I64(int64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
 
   /// Length-prefixed bulk dump of a flat array of trivially copyable
-  /// elements (the CSR arrays, point stores, count tables). In v2 the data
-  /// is preceded by zero padding up to the next 64-byte file-offset
-  /// boundary, so a mapped reader can view it in place.
+  /// elements (the CSR arrays, point stores, count tables). The data is
+  /// preceded by zero padding up to the next 64-byte file-offset boundary,
+  /// so a mapped reader can view it in place.
   template <typename T>
   void Array(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= kSnapshotArrayAlignment);
     U64(v.size());
-    if (version_ >= 2) PadToAlignment();
+    PadToAlignment();
     if (!v.empty()) Raw(v.data(), v.size_bytes());
   }
   template <typename T>
@@ -107,11 +106,6 @@ class SnapshotWriter {
   /// file + rename, so replacing an existing artifact is atomic (a crash
   /// mid-save never destroys the previous good snapshot).
   Status WriteToFile(const std::string& path, SnapshotKind kind) const;
-
-  /// The container version being written; version-gated sections (the
-  /// graph landmark block, v3+) key off this so a writer constructed for a
-  /// legacy version emits a legacy-parsable payload.
-  uint32_t version() const { return version_; }
 
  private:
   void Raw(const void* data, size_t n) {
@@ -126,103 +120,76 @@ class SnapshotWriter {
   }
 
   std::string payload_;
-  uint32_t version_;
 };
 
-/// \brief Validated cursor over a snapshot payload.
+/// \brief Validated cursor over a mapped snapshot payload.
 ///
-/// Two modes share one parsing surface:
-///   FromFile        reads the whole file into memory and verifies the
-///                   checksum before any field is parsed — the durable,
-///                   bit-rot-detecting path.
-///   FromFileMapped  mmaps the file and parses in place. For v2 (view)
-///                   loads the checksum is NOT recomputed — hashing would
-///                   page in every byte, while the zero-copy load itself
-///                   touches only the structural columns (roughly a
-///                   quarter of a HABIT payload; weights and statistics
-///                   page in lazily on first query). When the reader
-///                   cannot serve views (a v1 file) it copies every byte
-///                   anyway, so there the checksum IS verified. Header,
-///                   length, and per-read bounds are always enforced, and
-///                   the loaders' structural validation still runs. Use
-///                   the copying path or InspectSnapshot when bit-rot
-///                   detection matters more than latency.
-/// Every read is bounds-checked so a truncated or corrupt file fails with
-/// a Status, never UB.
+/// Every reader maps its file. The two loads differ in what they do with
+/// the arrays:
+///   copy       (zero_copy false) the checksum is verified before any
+///              field is parsed, and graph sections copy their columns
+///              into owned arrays — the durable, bit-rot-detecting path.
+///   zero-copy  (zero_copy true) the checksum is NOT recomputed — hashing
+///              would page in every byte, while the zero-copy load itself
+///              touches only what validation scans (the statistics columns
+///              page in lazily on first query) — and graph sections serve
+///              their columns in place. Use the copy load or
+///              InspectSnapshot when bit-rot detection matters more than
+///              latency.
+/// Header, length and per-read bounds are always enforced, and every
+/// loader's structural validation runs on both paths, so a truncated or
+/// corrupt file fails with a Status, never UB.
 class SnapshotReader {
  public:
-  /// Reads the whole file, verifies header + checksum against
-  /// `expected_kind`, and positions the cursor at the payload start.
-  static Result<SnapshotReader> FromFile(const std::string& path,
-                                         SnapshotKind expected_kind);
-
-  /// Maps the file and positions the cursor at the payload start. Arrays
-  /// of a v2 snapshot can then be taken as zero-copy views (ArrayView);
-  /// v1 snapshots parse through the same cursor but always copy.
-  static Result<SnapshotReader> FromFileMapped(const std::string& path,
-                                               SnapshotKind expected_kind);
+  /// Maps the file, verifies the header against `expected_kind` (and the
+  /// payload checksum unless `zero_copy`), and positions the cursor at the
+  /// payload start.
+  static Result<SnapshotReader> Open(const std::string& path,
+                                     SnapshotKind expected_kind,
+                                     bool zero_copy);
 
   Result<uint32_t> U32() { return Scalar<uint32_t>(); }
   Result<uint64_t> U64() { return Scalar<uint64_t>(); }
   Result<int64_t> I64() { return Scalar<int64_t>(); }
   Result<double> F64() { return Scalar<double>(); }
 
-  /// Reads a length-prefixed array written by SnapshotWriter::Array,
-  /// copying the data into `out`.
-  template <typename T>
-  Status Array(std::vector<T>* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    HABIT_ASSIGN_OR_RETURN(const uint64_t count, U64());
-    HABIT_RETURN_NOT_OK(SkipArrayPadding());
-    if (count > (payload_.size() - pos_) / sizeof(T)) {
-      return Status::IoError("snapshot array of " + std::to_string(count) +
-                             " elements overruns the payload");
-    }
-    out->resize(count);
-    if (count > 0) {
-      std::memcpy(out->data(), payload_.data() + pos_, count * sizeof(T));
-      pos_ += count * sizeof(T);
-    }
-    return Status::OK();
-  }
-
-  /// Zero-copy view of a length-prefixed array: the span aliases the
-  /// mapped region, which the caller must keep alive (see region()). Fails
-  /// unless the reader is mapped and the snapshot is v2 with correctly
-  /// aligned data — a v2 header over unpadded (or truncated) content is
-  /// rejected here rather than served misaligned.
+  /// View of a length-prefixed array written by SnapshotWriter::Array. The
+  /// span aliases the mapping, so it stays valid only while region() does.
+  /// The data is correctly aligned by construction: the padding is
+  /// computed from the file offset, and the mapping is page-aligned.
   template <typename T>
   Status ArrayView(std::span<const T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    if (!CanView()) {
-      return Status::Internal("snapshot array views need a mapped v2 "
-                              "snapshot");
-    }
+    static_assert(alignof(T) <= kSnapshotArrayAlignment);
     HABIT_ASSIGN_OR_RETURN(const uint64_t count, U64());
     HABIT_RETURN_NOT_OK(SkipArrayPadding());
     if (count > (payload_.size() - pos_) / sizeof(T)) {
       return Status::IoError("snapshot array of " + std::to_string(count) +
                              " elements overruns the payload");
     }
-    const char* data = payload_.data() + pos_;
-    if (count > 0 &&
-        reinterpret_cast<uintptr_t>(data) % alignof(T) != 0) {
-      return Status::IoError("snapshot array data is misaligned (v2 header "
-                             "over unpadded content?)");
-    }
-    *out = {reinterpret_cast<const T*>(data), static_cast<size_t>(count)};
+    *out = {reinterpret_cast<const T*>(payload_.data() + pos_),
+            static_cast<size_t>(count)};
     pos_ += count * sizeof(T);
     return Status::OK();
   }
 
-  /// True when ArrayView can produce in-place views (mapped + v2).
-  bool CanView() const { return region_ != nullptr && version_ >= 2; }
+  /// Reads a length-prefixed array, copying the data into `out`.
+  template <typename T>
+  Status Array(std::vector<T>* out) {
+    std::span<const T> view;
+    HABIT_RETURN_NOT_OK(ArrayView(&view));
+    out->assign(view.begin(), view.end());
+    return Status::OK();
+  }
 
-  /// The mapping backing a FromFileMapped reader (null for FromFile);
-  /// consumers of ArrayView spans must hold it as long as the views live.
+  /// True when the reader was opened for a zero-copy load: a loader may
+  /// then keep ArrayView spans for the model's lifetime (holding
+  /// region()); a copy load copies them out instead.
+  bool zero_copy() const { return zero_copy_; }
+
+  /// The mapping the payload lives in; consumers that keep ArrayView spans
+  /// must hold it as long as the views live.
   const std::shared_ptr<const MmapRegion>& region() const { return region_; }
-
-  uint32_t version() const { return version_; }
 
   /// True when every payload byte has been consumed (loaders check this to
   /// reject trailing garbage).
@@ -240,11 +207,11 @@ class SnapshotReader {
     return v;
   }
 
-  /// Advances over the alignment padding a v2 writer inserted before array
-  /// data (no-op for v1 payloads).
+  /// Advances over the alignment padding the writer inserted before array
+  /// data (computed against file offsets, so views are aligned in memory,
+  /// not just in payload coordinates).
   Status SkipArrayPadding() {
-    if (version_ < 2) return Status::OK();
-    const size_t file_pos = payload_file_offset_ + pos_;
+    const size_t file_pos = kSnapshotHeaderBytes + pos_;
     const size_t pad = (kSnapshotArrayAlignment -
                         file_pos % kSnapshotArrayAlignment) %
                        kSnapshotArrayAlignment;
@@ -256,15 +223,10 @@ class SnapshotReader {
     return Status::OK();
   }
 
-  std::vector<char> buffer_;  ///< owns the payload in copy mode
-  std::shared_ptr<const MmapRegion> region_;  ///< owns it in mapped mode
+  std::shared_ptr<const MmapRegion> region_;
   std::span<const char> payload_;
   size_t pos_ = 0;
-  /// File offset where payload_[0] lives (padding is computed against file
-  /// offsets so mapped views are aligned in memory, not just in payload
-  /// coordinates).
-  size_t payload_file_offset_ = kSnapshotHeaderBytes;
-  uint32_t version_ = kSnapshotVersion;
+  bool zero_copy_ = false;
 };
 
 /// \brief Header + checksum of a snapshot, readable without parsing the
@@ -290,27 +252,26 @@ Result<SnapshotInfo> ProbeSnapshot(const std::string& path);
 /// Dumps the frozen CSR arrays verbatim (kind kCompactGraph).
 Status SaveGraphSnapshot(const CompactGraph& g, const std::string& path);
 
-/// Loads a graph snapshot: one validated bulk read per CSR array, no
-/// Digraph rebuild or re-freeze. The result is bit-identical to the graph
-/// that was saved (same SizeBytes, same weights, same degrees).
+/// Loads a graph snapshot: checksum, structural validation, then one copy
+/// per CSR array into owned storage — no Digraph rebuild or re-freeze. The
+/// result is bit-identical to the graph that was saved (same SizeBytes,
+/// same weights, same degrees).
 Result<CompactGraph> LoadGraphSnapshot(const std::string& path);
 
 /// Zero-copy load: maps the file and serves the CSR arrays in place — no
 /// heap copy of the payload, ~half the load-time peak RSS of
-/// LoadGraphSnapshot, and only the structural columns are paged in up
-/// front (validation + id-lookup build); weights and statistics fault in
-/// on first query. v1 snapshots fall back to copying out of the mapping —
-/// same result, owned backing, checksum verified. Structural invariants
-/// are validated either way; v2 view loads skip the checksum recompute.
+/// LoadGraphSnapshot. Only the structural columns, the weights and any
+/// landmark columns are paged in up front (validation + id-lookup build);
+/// the statistics columns fault in on first query. The same structural validation as
+/// LoadGraphSnapshot runs; the payload checksum is not recomputed.
 Result<CompactGraph> LoadGraphSnapshotMapped(const std::string& path);
 
 /// Appends / reads a CompactGraph section inside a larger snapshot payload
-/// (used by the GTI and HABIT snapshots). ReadGraphSection binds zero-copy
-/// views when the reader is mapped v2+, and copies otherwise. From v3 the
-/// section ends with the ALT landmark block (count + node indices +
-/// forward/backward distance columns), structurally validated on both
-/// paths; earlier versions simply have no landmarks and searches degrade
-/// to the zero heuristic.
+/// (used by the GTI and HABIT snapshots). The section ends with the ALT
+/// landmark block (count + node indices + forward/backward distance
+/// columns). ReadGraphSection parses every column as a view, validates
+/// them, and then binds the views (zero-copy reader) or copies them into
+/// owned arrays (copying reader).
 void AppendGraphSection(SnapshotWriter& writer, const CompactGraph& g);
 Result<CompactGraph> ReadGraphSection(SnapshotReader& reader);
 

@@ -1,7 +1,10 @@
 // HABIT configuration: the parameters the paper fine-tunes in Section 4.2.
 #pragma once
 
+#include <cstdint>
 #include <string>
+
+#include "core/status.h"
 
 namespace habit::core {
 
@@ -29,6 +32,16 @@ enum class EdgeCostPolicy {
 
 const char* EdgeCostPolicyToString(EdgeCostPolicy p);
 
+/// Largest legal HabitConfig::max_snap_ring. An endpoint with no graph node
+/// nearby walks every ring up to the radius, at a cost that grows with
+/// roughly its square (seconds per query at 20,000 rings), so the radius
+/// is bounded by a constant rather than left to a spec or a snapshot.
+inline constexpr int kMaxSnapRing = 64;
+
+/// OK when `ring` lies in [0, kMaxSnapRing]; InvalidArgument otherwise.
+/// Spec parsing and snapshot loading both check through it.
+Status CheckSnapRing(int64_t ring);
+
 /// \brief Full HABIT configuration.
 struct HabitConfig {
   /// H3 grid resolution r (the paper studies 6..10; default 9).
@@ -43,7 +56,7 @@ struct HabitConfig {
   /// HyperLogLog precision for approximate distinct counts.
   int hll_precision = 12;
   /// Maximum k-ring radius searched when snapping a gap endpoint whose cell
-  /// is not a graph node to the nearest node.
+  /// is not a graph node to the nearest node (at most kMaxSnapRing).
   int max_snap_ring = 32;
   /// When a transition jumps over intermediate cells (sparse reporting at a
   /// fine resolution gives h3_grid_distance > 1), also materialize the cells

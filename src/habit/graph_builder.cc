@@ -28,6 +28,13 @@ const char* EdgeCostPolicyToString(EdgeCostPolicy p) {
   return "?";
 }
 
+Status CheckSnapRing(int64_t ring) {
+  if (ring >= 0 && ring <= kMaxSnapRing) return Status::OK();
+  return Status::InvalidArgument("snap ring radius " + std::to_string(ring) +
+                                 " is outside [0, " +
+                                 std::to_string(kMaxSnapRing) + "]");
+}
+
 std::string HabitConfig::ToString() const {
   return "HabitConfig{r=" + std::to_string(resolution) +
          ", p=" + ProjectionToString(projection) +

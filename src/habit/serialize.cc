@@ -164,10 +164,8 @@ Result<std::unique_ptr<HabitFramework>> LoadModelSnapshot(
     const std::string& path, bool mapped) {
   HABIT_ASSIGN_OR_RETURN(
       graph::SnapshotReader reader,
-      mapped ? graph::SnapshotReader::FromFileMapped(
-                   path, graph::SnapshotKind::kHabitModel)
-             : graph::SnapshotReader::FromFile(
-                   path, graph::SnapshotKind::kHabitModel));
+      graph::SnapshotReader::Open(path, graph::SnapshotKind::kHabitModel,
+                                  mapped));
   HabitConfig config;
   HABIT_ASSIGN_OR_RETURN(const int64_t resolution, reader.I64());
   HABIT_ASSIGN_OR_RETURN(const uint32_t projection, reader.U32());
@@ -182,6 +180,11 @@ Result<std::unique_ptr<HabitFramework>> LoadModelSnapshot(
           static_cast<uint32_t>(EdgeCostPolicy::kHopsThenFrequency)) {
     return Status::IoError("HABIT snapshot '" + path +
                            "' carries an invalid configuration");
+  }
+  if (const Status ring = CheckSnapRing(max_snap_ring); !ring.ok()) {
+    return Status::IoError("HABIT snapshot '" + path +
+                           "' carries an invalid configuration: " +
+                           ring.message());
   }
   config.resolution = static_cast<int>(resolution);
   config.projection = static_cast<Projection>(projection);

@@ -126,9 +126,17 @@ TEST(RegistryTest, UnknownMethodIsInvalidArgument) {
 }
 
 TEST(RegistryTest, OverflowingIntParameterRejected) {
-  auto model = MakeModel("habit:r=4294967296", MakeTrips());
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+  // Out of the int range, or out of a parameter's own range: the snap ring
+  // radius is bounded by core::kMaxSnapRing (64).
+  const auto trips = MakeTrips();
+  for (const char* spec : {"habit:r=4294967296", "habit:snap=65",
+                           "habit:snap=-1", "habit_typed:snap=65"}) {
+    auto model = MakeModel(spec, trips);
+    ASSERT_FALSE(model.ok()) << spec;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_TRUE(MakeModel("habit:snap=64", trips).ok());
+  EXPECT_TRUE(MakeModel("habit:snap=0", trips).ok());
 }
 
 TEST(ApiTest, ValidateRequestContract) {

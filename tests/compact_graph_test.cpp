@@ -539,48 +539,78 @@ TEST(SnapshotTest, MappedGraphOutlivesTheFileEntry) {
   ExpectGraphsIdentical(frozen, mapped.value());
 }
 
-TEST(SnapshotTest, V1SnapshotsLoadThroughBothPaths) {
-  // Pre-PR artifacts (version 1, no alignment padding) must keep loading:
-  // the copying loader reads them natively and the mapped loader falls
-  // back to copying out of the mapping.
-  const CompactGraph frozen = MakeRandomGraph(29, 60, 2).Freeze();
-  const std::string path = SnapshotPath("graph_v1.snap");
-  SnapshotWriter writer(/*version=*/1);
-  AppendGraphSection(writer, frozen);
-  ASSERT_TRUE(writer.WriteToFile(path, SnapshotKind::kCompactGraph).ok());
-  auto info = InspectSnapshot(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().version, 1u);
-
-  auto copied = LoadGraphSnapshot(path);
-  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-  ExpectGraphsIdentical(frozen, copied.value());
-
-  auto mapped = LoadGraphSnapshotMapped(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  EXPECT_FALSE(mapped.value().is_mapped());  // documented copy fallback
-  ExpectGraphsIdentical(frozen, mapped.value());
+TEST(SnapshotTest, VersionSpoofedUnpaddedFileIsRejected) {
+  // Only container version 3 is read. The header version is not covered by
+  // the payload checksum, so a restamped file still "verifies": the header
+  // check itself must refuse every other version, on both loaders and both
+  // header readers, with an error that names the version.
+  const CompactGraph frozen = MakeRandomGraph(41, 60, 2).Freeze();
+  const std::string path = SnapshotPath("graph_spoof.snap");
+  for (const uint32_t version : {0u, 1u, 2u, 4u}) {
+    ASSERT_TRUE(SaveGraphSnapshot(frozen, path).ok());
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(sizeof(uint32_t));  // version field follows the magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    for (auto* load : {&LoadGraphSnapshot, &LoadGraphSnapshotMapped}) {
+      auto loaded = (*load)(path);
+      ASSERT_FALSE(loaded.ok()) << "version " << version;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(
+                    "container version " + std::to_string(version)),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+    EXPECT_FALSE(InspectSnapshot(path).ok()) << "version " << version;
+    EXPECT_FALSE(ProbeSnapshot(path).ok()) << "version " << version;
+  }
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, VersionSpoofedUnpaddedFileIsRejected) {
-  // The header version is not covered by the payload checksum, so a v1
-  // file restamped as v2 still "verifies" — the padding arithmetic and
-  // alignment checks must reject it instead of serving misaligned or
-  // misframed views.
-  const CompactGraph frozen = MakeRandomGraph(41, 60, 2).Freeze();
-  const std::string path = SnapshotPath("graph_spoof.snap");
-  SnapshotWriter writer(/*version=*/1);
-  AppendGraphSection(writer, frozen);
-  ASSERT_TRUE(writer.WriteToFile(path, SnapshotKind::kCompactGraph).ok());
+// File offset of the data of the array whose length prefix starts at
+// `count_pos`: the writer pads the data to the next 64-byte file offset.
+size_t ArrayDataOffset(size_t count_pos) {
+  const size_t after_count = count_pos + sizeof(uint64_t);
+  return (after_count + kSnapshotArrayAlignment - 1) /
+         kSnapshotArrayAlignment * kSnapshotArrayAlignment;
+}
+
+TEST(SnapshotTest, NonFiniteWeightIsRejectedByBothLoaders) {
+  // The copy load catches a damaged weight through the checksum; the
+  // mapped load skips the checksum, so the structural validation must
+  // refuse a NaN weight before it reaches the search heap.
+  const CompactGraph frozen = MakeRandomGraph(53, 60, 2).Freeze();
+  ASSERT_GT(frozen.num_edges(), 3u);
+  const std::string path = SnapshotPath("graph_nan_weight.snap");
+  ASSERT_TRUE(SaveGraphSnapshot(frozen, path).ok());
+  // Walk the section's leading arrays: node ids (u64), row offsets (u32),
+  // edge targets (u32), then the weights (f64).
+  const size_t n = frozen.num_nodes();
+  const size_t m = frozen.num_edges();
+  size_t pos = kSnapshotHeaderBytes;
+  pos = ArrayDataOffset(pos) + n * sizeof(NodeId);
+  pos = ArrayDataOffset(pos) + (n + 1) * sizeof(uint32_t);
+  pos = ArrayDataOffset(pos) + m * sizeof(NodeIndex);
+  const size_t third_weight = ArrayDataOffset(pos) + 2 * sizeof(double);
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    const uint32_t v2 = 2;
-    f.seekp(sizeof(uint32_t));  // version field follows the magic
-    f.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+    double before = 0.0;
+    f.seekg(static_cast<std::streamoff>(third_weight));
+    f.read(reinterpret_cast<char*>(&before), sizeof(before));
+    ASSERT_EQ(before, frozen.EdgeAttrsAt(2).weight);  // offsets are right
+    const std::string splat(sizeof(double), static_cast<char>(0xFF));
+    f.seekp(static_cast<std::streamoff>(third_weight));
+    f.write(splat.data(), static_cast<std::streamsize>(splat.size()));
   }
-  EXPECT_FALSE(LoadGraphSnapshotMapped(path).ok());
-  EXPECT_FALSE(LoadGraphSnapshot(path).ok());
+  auto copied = LoadGraphSnapshot(path);
+  ASSERT_FALSE(copied.ok());
+  EXPECT_NE(copied.status().message().find("checksum"), std::string::npos)
+      << copied.status().ToString();
+  auto mapped = LoadGraphSnapshotMapped(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_NE(mapped.status().message().find("edge weight"), std::string::npos)
+      << mapped.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -668,32 +698,6 @@ TEST(CompactGraphTest, MovedFromGraphIsEmpty) {
   CompactGraph c;
   c = std::move(a);  // moving an empty graph is fine too
   EXPECT_EQ(c.num_nodes(), 0u);
-}
-
-// The v1 mapped fallback copies every byte anyway, so it must keep the
-// checksum verification the copying loader has (a mapped v2 load skips it
-// by design — that is the documented zero-copy trade).
-TEST(SnapshotTest, CorruptV1SnapshotIsRejectedByTheMappedLoader) {
-  const CompactGraph frozen = MakeRandomGraph(59, 40, 2).Freeze();
-  const std::string path = SnapshotPath("graph_v1_corrupt.snap");
-  SnapshotWriter writer(/*version=*/1);
-  AppendGraphSection(writer, frozen);
-  ASSERT_TRUE(writer.WriteToFile(path, SnapshotKind::kCompactGraph).ok());
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(600);
-    char byte = 0;
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x10);
-    f.seekp(600);
-    f.write(&byte, 1);
-  }
-  auto copied = LoadGraphSnapshot(path);
-  ASSERT_FALSE(copied.ok());
-  auto mapped = LoadGraphSnapshotMapped(path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kIoError);
-  std::remove(path.c_str());
 }
 
 // A single-node graph (id range zero) must not divide by zero or probe

@@ -471,6 +471,21 @@ TEST(SerializeTest, ModelSnapshotEmbedsTheBuildConfiguration) {
   auto wrong_kind = LoadModelSnapshot(path);
   ASSERT_FALSE(wrong_kind.ok());
   EXPECT_EQ(wrong_kind.status().code(), StatusCode::kInvalidArgument);
+
+  // A stored snap ring radius past kMaxSnapRing is refused by both loaders:
+  // serving it would let one off-graph endpoint walk a million rings.
+  HabitConfig wide = config;
+  wide.max_snap_ring = 1000000;
+  auto unbounded =
+      HabitFramework::FromFrozen(trained->graph(), wide).MoveValue();
+  ASSERT_TRUE(SaveModelSnapshot(*unbounded, path).ok());
+  for (const bool mapped : {false, true}) {
+    auto refused = LoadModelSnapshot(path, mapped);
+    ASSERT_FALSE(refused.ok()) << "mapped=" << mapped;
+    EXPECT_NE(refused.status().message().find("snap ring radius 1000000"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

@@ -381,18 +381,14 @@ TEST(LandmarkSnapshotTest, AttachGrowsSizeBytes) {
                 2 * k * g.num_nodes() * sizeof(double));
 }
 
-TEST(LandmarkSnapshotTest, LegacyV2FilesLoadWithZeroLandmarks) {
-  // A writer pinned at version 2 produces a pre-landmark file; both load
-  // paths must accept it and degrade to the zero-heuristic baseline.
+TEST(LandmarkSnapshotTest, PlainSnapshotsLoadWithZeroLandmarks) {
+  // A graph saved without precomputation writes an empty (k = 0) landmark
+  // block; both load paths must accept it and degrade to the
+  // zero-heuristic baseline.
   const CompactGraph frozen =
       MakeRandomGraph(61, 50, 2).Freeze(/*keep_attrs=*/false);
-  const std::string path = SnapshotPath("landmarks_v2.snap");
-  SnapshotWriter writer(/*version=*/2);
-  AppendGraphSection(writer, frozen);
-  ASSERT_TRUE(writer.WriteToFile(path, SnapshotKind::kCompactGraph).ok());
-  auto info = InspectSnapshot(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().version, 2u);
+  const std::string path = SnapshotPath("landmarks_plain.snap");
+  ASSERT_TRUE(SaveGraphSnapshot(frozen, path).ok());
 
   for (auto* load : {&LoadGraphSnapshot, &LoadGraphSnapshotMapped}) {
     auto loaded = (*load)(path);
