@@ -1,9 +1,8 @@
 #include "minidb/value.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+
+#include "core/format.h"
 
 namespace habit::db {
 
@@ -40,17 +39,7 @@ const std::string& Value::AsString() const {
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(std::get<int64_t>(var_));
-  if (is_double()) {
-    // Shortest representation that round-trips through strtod.
-    char buf[40];
-    const double d = std::get<double>(var_);
-    for (int precision : {15, 16, 17}) {
-      std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-      // lint: raw-parse(round-trip probe of our own snprintf output)
-      if (std::strtod(buf, nullptr) == d) break;
-    }
-    return buf;
-  }
+  if (is_double()) return core::FormatDouble(std::get<double>(var_));
   return std::get<std::string>(var_);
 }
 

@@ -215,10 +215,8 @@ std::string Router::RejectFrame(const Status& status, const Json& id) {
 Result<std::vector<Json>> Router::CallShard(
     const ShardRuntime& runtime, size_t stats_index,
     std::span<const api::ImputeRequest> requests) {
-  const std::string frame = server::EncodeImputeBatchRequest(
-      runtime.model_spec, requests);
   const auto t0 = std::chrono::steady_clock::now();
-  auto response = runtime.backend->Call(frame);
+  auto results = runtime.backend->Impute(runtime.model_spec, requests);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -227,37 +225,7 @@ Result<std::vector<Json>> Router::CallShard(
     shard_stats_[stats_index].latency_p50.Add(ms);
     shard_stats_[stats_index].latency_p99.Add(ms);
   }
-  if (!response.ok()) return response.status();
-  // The backend speaks the protocol we speak; anything else (a port that
-  // answers but is not habit_serve, a truncated line) is a backend
-  // failure, handled exactly like an unreachable one.
-  auto parsed = Json::Parse(response.value());
-  if (!parsed.ok()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a non-protocol line: " +
-                            parsed.status().message());
-  }
-  const Json* ok = parsed.value().Find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a non-protocol frame");
-  }
-  if (!ok->bool_value()) {
-    const Json* error = parsed.value().Find("error");
-    const Json* message =
-        error != nullptr ? error->Find("message") : nullptr;
-    return Status::Internal(
-        runtime.backend->Describe() + " rejected the sub-frame: " +
-        (message != nullptr && message->is_string() ? message->string_value()
-                                                    : "unknown error"));
-  }
-  const Json* results = parsed.value().Find("results");
-  if (results == nullptr || !results->is_array() ||
-      results->items().size() != requests.size()) {
-    return Status::Internal(runtime.backend->Describe() +
-                            " answered with a mismatched results array");
-  }
-  return results->items();
+  return results;
 }
 
 Router::GroupOutcome Router::ExecuteGroup(
@@ -548,9 +516,9 @@ std::string Router::HandleImpute(const Request& request) {
   }
 
   // Reassemble in request order. Result objects are spliced from the
-  // backend responses via parse + re-dump — Json::Dump is canonical, so
-  // the bytes match what a single-process server would have emitted for
-  // the same query against the same model.
+  // backends' answers and dumped once — Json::Dump is canonical, so the
+  // bytes match what a single-process server would have emitted for the
+  // same query against the same model, whichever hop carried them.
   std::vector<Json> results(request.requests.size());
   std::vector<const char*> routes(request.requests.size());
   for (size_t g = 0; g < order.size(); ++g) {

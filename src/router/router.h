@@ -183,9 +183,9 @@ class Router {
                             std::span<const api::ImputeRequest> requests)
       EXCLUDES(stats_mu_);
 
-  /// One impute_batch round trip to `runtime`'s backend; OK result holds
-  /// the per-request result objects. `stats_index` names the
-  /// shard_stats_ row charged for the call's latency.
+  /// One impute_batch round trip to `runtime`'s backend
+  /// (ShardBackend::Impute), timed into the shard_stats_ row
+  /// `stats_index` names; OK result holds the per-request result objects.
   Result<std::vector<server::Json>> CallShard(
       const ShardRuntime& runtime, size_t stats_index,
       std::span<const api::ImputeRequest> requests) EXCLUDES(stats_mu_);

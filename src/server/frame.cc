@@ -357,12 +357,7 @@ Result<FrameRequest> DecodeRequestPayload(std::string_view payload,
         "op 'impute' carries exactly one request (got " +
         std::to_string(n) + ")");
   }
-  if (n > max_batch) {
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(n) +
-        " requests exceeds the per-frame limit of " +
-        std::to_string(max_batch));
-  }
+  HABIT_RETURN_NOT_OK(CheckBatchSize(n, max_batch));
   // The SoA block has a fixed per-request width; an exact size check up
   // front rejects truncated or padded frames before any column is read.
   const size_t need = static_cast<size_t>(n) * (6 * 8 + 1 + 1 + 8);

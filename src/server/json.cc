@@ -1,9 +1,13 @@
 #include "server/json.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_set>
+
+#include "core/format.h"
 
 namespace habit::server {
 
@@ -132,9 +136,9 @@ class Parser {
   Result<Json> ParseNumber() {
     const size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    // JSON's number grammar is a subset of strtod's: validate the shape
-    // first (strtod alone would accept "inf", "0x10", "1.e"),
-    // then let strtod do the conversion on the validated span.
+    // JSON's number grammar is a subset of from_chars's: validate the
+    // shape first (from_chars alone would accept "inf", "nan", "1."),
+    // then convert the validated span in place.
     size_t int_digits = 0;
     while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
@@ -165,11 +169,19 @@ class Parser {
       }
       if (exp == 0) return Error("digits required in exponent");
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    // lint: raw-parse(this IS the JSON number parser; end-pointer checked)
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return Error("invalid number");
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars reports overflow and underflow alike; strtod tells
+      // them apart (inf is refused below, "1e-400" reads as a signed 0).
+      const std::string token(first, last);
+      // lint: raw-parse(this IS the JSON number parser; span validated)
+      v = std::strtod(token.c_str(), nullptr);
+    } else if (ec != std::errc() || end != last) {
+      return Error("invalid number");
+    }
     if (!std::isfinite(v)) return Error("number out of range");
     return Json::Number(v);
   }
@@ -274,6 +286,22 @@ class Parser {
   size_t pos_ = 0;
 };
 
+// DumpDouble into the kMaxDoubleChars bytes at `first`; returns one past
+// the last character written.
+char* WriteNumber(double d, char* first) {
+  static constexpr char kNull[] = "null";
+  if (!std::isfinite(d)) return std::copy(kNull, kNull + 4, first);
+  // Integers within the exact-double range print without an exponent or
+  // trailing ".0" (timestamps, counters), as printf's "%.0f" does.
+  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+    if (d == 0 && std::signbit(d)) *first++ = '-';  // "%.0f" keeps -0's sign
+    return std::to_chars(first, first + core::kMaxDoubleChars - 1,
+                         static_cast<int64_t>(d))
+        .ptr;
+  }
+  return core::FormatDouble(d, first);
+}
+
 void DumpString(const std::string& s, std::string* out) {
   out->push_back('"');
   for (const char ch : s) {
@@ -307,9 +335,11 @@ void DumpValue(const Json& v, std::string* out) {
     case Json::Type::kBool:
       *out += v.bool_value() ? "true" : "false";
       break;
-    case Json::Type::kNumber:
-      *out += DumpDouble(v.number_value());
+    case Json::Type::kNumber: {
+      char buf[core::kMaxDoubleChars];
+      out->append(buf, WriteNumber(v.number_value(), buf));
       break;
+    }
     case Json::Type::kString:
       DumpString(v.string_value(), out);
       break;
@@ -343,21 +373,8 @@ void DumpValue(const Json& v, std::string* out) {
 }  // namespace
 
 std::string DumpDouble(double d) {
-  if (!std::isfinite(d)) return "null";
-  // Integers within the exact-double range print without an exponent or
-  // trailing ".0" (timestamps, counters).
-  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", d);
-    return buf;
-  }
-  char buf[40];
-  for (const int precision : {15, 16, 17}) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
-    // lint: raw-parse(round-trip probe of our own snprintf output)
-    if (std::strtod(buf, nullptr) == d) break;
-  }
-  return buf;
+  char buf[core::kMaxDoubleChars];
+  return std::string(buf, WriteNumber(d, buf));
 }
 
 Result<Json> Json::Parse(std::string_view text, int max_depth,

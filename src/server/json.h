@@ -2,8 +2,9 @@
 // a recursive-descent parser hardened for network input (depth cap,
 // strict UTF-16 escape handling, full-input consumption, no exceptions),
 // and a serializer whose number formatting round-trips doubles exactly
-// (shortest form via %.17g re-parse check) — the protocol's bit-identity
-// guarantee rides on that.
+// (core::FormatDouble: the shortest of %.15g/%.16g/%.17g that reads back
+// to the same bits) — the protocol's bit-identity guarantee rides on
+// that. Numbers convert with <charconv> both ways.
 //
 // Scope is deliberately the protocol's needs, not a general library:
 // numbers are doubles (integers up to 2^53 are exact, which covers unix
@@ -111,8 +112,9 @@ class Json {
 };
 
 /// Serializes a double in the shortest form that re-parses to the same
-/// bits (tries %.15g/%.16g/%.17g). Non-finite values (never produced by
-/// validated responses) serialize as null per JSON's number grammar.
+/// bits: integers below 2^53 as printf's "%.0f", everything else through
+/// core::FormatDouble. Non-finite values (never produced by validated
+/// responses) serialize as null per JSON's number grammar.
 std::string DumpDouble(double d);
 
 }  // namespace habit::server

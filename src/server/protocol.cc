@@ -285,15 +285,7 @@ Result<Request> ParseRequest(std::string_view line, size_t max_batch,
     return Status::InvalidArgument(
         "op 'impute_batch' needs a \"requests\" array");
   }
-  if (requests->items().empty()) {
-    return Status::InvalidArgument("\"requests\" must not be empty");
-  }
-  if (requests->items().size() > max_batch) {
-    return Status::InvalidArgument(
-        "batch of " + std::to_string(requests->items().size()) +
-        " requests exceeds the per-frame limit of " +
-        std::to_string(max_batch));
-  }
+  HABIT_RETURN_NOT_OK(CheckBatchSize(requests->items().size(), max_batch));
   out.requests.reserve(requests->items().size());
   for (size_t i = 0; i < requests->items().size(); ++i) {
     auto parsed = ParseImputeRequest(requests->items()[i]);
@@ -304,6 +296,17 @@ Result<Request> ParseRequest(std::string_view line, size_t max_batch,
     out.requests.push_back(parsed.MoveValue());
   }
   return out;
+}
+
+Status CheckBatchSize(size_t n, size_t max_batch) {
+  if (n == 0) return Status::InvalidArgument("\"requests\" must not be empty");
+  if (n > max_batch) {
+    return Status::InvalidArgument(
+        "batch of " + std::to_string(n) +
+        " requests exceeds the per-frame limit of " +
+        std::to_string(max_batch));
+  }
+  return Status::OK();
 }
 
 Json ImputeRequestToJson(const api::ImputeRequest& request) {

@@ -87,6 +87,10 @@ struct Request {
 Result<Request> ParseRequest(std::string_view line, size_t max_batch,
                              bool require_model = true);
 
+/// The per-frame query count rule every impute path shares: a batch holds
+/// 1..max_batch requests. kInvalidArgument naming the limit otherwise.
+Status CheckBatchSize(size_t n, size_t max_batch);
+
 /// Serializes one ImputeRequest as a protocol JSON object (client side:
 /// bench_serve, tests, and doc examples build frames through this).
 Json ImputeRequestToJson(const api::ImputeRequest& request);

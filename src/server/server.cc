@@ -328,7 +328,7 @@ std::string Server::HandleParsed(const Request& request) {
 }
 
 std::string Server::HandleImpute(const Request& request) {
-  auto results = ExecuteImpute(request);
+  auto results = ExecuteImpute(request.op, request.model, request.requests);
   if (!results.ok()) return RejectFrame(results.status(), request.id);
   if (request.op == Request::Op::kImpute) {
     return ImputeResponseLine(results.value().front(), request.id);
@@ -336,25 +336,49 @@ std::string Server::HandleImpute(const Request& request) {
   return BatchResponseLine(results.value(), request.id);
 }
 
+Result<std::vector<Result<api::ImputeResponse>>> Server::HandleImputeBatch(
+    const std::string& model, std::span<const api::ImputeRequest> requests) {
+  {
+    core::MutexLock lock(stats_mu_);
+    ++frames_total_;
+  }
+  // The checks ParseRequest makes on the same frame's line, in its order.
+  Status status = CheckBatchSize(requests.size(), options_.max_batch);
+  if (model.empty()) {
+    status = Status::InvalidArgument(
+        "op 'impute_batch' needs a non-empty string \"model\"");
+  }
+  if (status.ok()) {
+    auto results =
+        ExecuteImpute(Request::Op::kImputeBatch, model, requests);
+    if (results.ok()) return results;
+    status = results.status();
+  }
+  core::MutexLock lock(stats_mu_);
+  ++frames_rejected_;
+  return status;
+}
+
 Result<std::vector<Result<api::ImputeResponse>>> Server::ExecuteImpute(
-    const Request& request) {
+    Request::Op op, const std::string& model_spec,
+    std::span<const api::ImputeRequest> requests) {
   // Validate every query before touching the cache: an invalid request
   // must never trigger (or wait on) a snapshot load. The whole frame is
   // rejected fail-fast — a client sending garbage gets told so instead of
   // paying for the valid remainder.
-  for (size_t i = 0; i < request.requests.size(); ++i) {
-    const Status valid = api::ValidateRequest(request.requests[i]);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Status valid = api::ValidateRequest(requests[i]);
     if (!valid.ok()) {
       // Name the field the client actually sent: "request" for the
       // single-impute op, the failing array index for batches.
-      const std::string field = request.op == Request::Op::kImpute
+      const std::string field = op == Request::Op::kImpute
                                     ? "request"
                                     : "requests[" + std::to_string(i) + "]";
       return Status::InvalidArgument(field + ": " + valid.message());
     }
   }
 
-  auto spec = api::MethodSpec::Parse(request.model);
+  auto spec = api::MethodSpec::Parse(model_spec);
   if (!spec.ok()) return spec.status();
   HABIT_RETURN_NOT_OK(CheckServedSpec(spec.value()));
   Result<std::shared_ptr<const api::ImputationModel>> model =
@@ -382,7 +406,7 @@ Result<std::vector<Result<api::ImputeResponse>>> Server::ExecuteImpute(
   std::vector<double> query_seconds;
   std::vector<Result<api::ImputeResponse>> results =
       model.value()->ImputeBatch(
-          request.requests, &query_seconds,
+          requests, &query_seconds,
           [this](size_t workers, const std::function<void()>& body) {
             return pool_.RunAll(std::vector<std::function<void()>>(
                 std::min(workers, static_cast<size_t>(pool_.workers())),
@@ -404,9 +428,8 @@ Result<std::vector<Result<api::ImputeResponse>>> Server::ExecuteImpute(
       const double ms = query_seconds[i] * 1e3;
       stats.latency_p50.Add(ms);
       stats.latency_p99.Add(ms);
-      if (request.requests[i].vessel_id.has_value()) {
-        stats.vessels.AddInt(
-            static_cast<uint64_t>(*request.requests[i].vessel_id));
+      if (requests[i].vessel_id.has_value()) {
+        stats.vessels.AddInt(static_cast<uint64_t>(*requests[i].vessel_id));
       }
     }
   }
@@ -445,7 +468,8 @@ std::string Server::HandleFrame(std::string_view payload) {
       return frame::EncodeJsonResponseFrame(StatsLine(request.id));
     case Request::Op::kImpute:
     case Request::Op::kImputeBatch: {
-      auto results = ExecuteImpute(request);
+      auto results =
+          ExecuteImpute(request.op, request.model, request.requests);
       if (!results.ok()) {
         {
           core::MutexLock lock(stats_mu_);

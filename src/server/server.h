@@ -16,8 +16,9 @@
 // connections cost a fd, not a thread; a router/load-balancer terminates
 // external traffic) and a stdin/stdout pipe mode. Both protocols feed one
 // dispatch path — JSON lines through HandleLine, binary frames
-// (server/frame.h) through HandleFrame, which share ExecuteImpute so the
-// answers are identical bit for bit.
+// (server/frame.h) through HandleFrame, and the in-process router hop
+// through HandleImputeBatch, which all share ExecuteImpute so the answers
+// are identical bit for bit.
 //
 // Observability is O(1)-memory under unbounded traffic: per-model query
 // latency runs through P^2 quantile estimators (p50/p99) and distinct
@@ -31,6 +32,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,6 +142,16 @@ class Server {
   /// HandleLine. Thread-safe, same as HandleLine.
   std::string HandleFrame(std::string_view payload) EXCLUDES(stats_mu_);
 
+  /// The structured impute_batch path (the in-process router hop): the
+  /// frame EncodeImputeBatchRequest(model, requests) would carry, with no
+  /// JSON either way. Counted, checked and rejected as HandleLine counts,
+  /// checks and rejects that frame (only the line-size cap has no line to
+  /// apply to). Returns the per-request results, or the frame-level
+  /// rejection. Thread-safe, same as HandleLine.
+  Result<std::vector<Result<api::ImputeResponse>>> HandleImputeBatch(
+      const std::string& model, std::span<const api::ImputeRequest> requests)
+      EXCLUDES(stats_mu_);
+
   /// Resolves `spec` through the process-wide cache, recording per-model
   /// request stats. Shared with habit_cli serve-from-snapshot, so the CLI
   /// and the server exercise the same resolution path.
@@ -212,13 +224,14 @@ class Server {
                        uint64_t* accepted, uint64_t* pending)
       EXCLUDES(stats_mu_);
 
-  /// The shared impute engine behind both protocols: validation (with the
-  /// JSON path's field naming), spec policy, cache resolution, pool
-  /// dispatch, and stats recording. Returns the per-request results or
-  /// the frame-level rejection status; the caller renders whichever
+  /// The shared impute engine behind every path: validation (with the
+  /// JSON path's field naming, from `op`), spec policy, cache resolution,
+  /// pool dispatch, and stats recording. Returns the per-request results
+  /// or the frame-level rejection status; the caller renders whichever
   /// wire format its protocol speaks.
   Result<std::vector<Result<api::ImputeResponse>>> ExecuteImpute(
-      const Request& request) EXCLUDES(stats_mu_);
+      Request::Op op, const std::string& model_spec,
+      std::span<const api::ImputeRequest> requests) EXCLUDES(stats_mu_);
 
   /// Builds the frame-level error response and counts it in
   /// frames_rejected_ — every ok:false *frame* goes through here, so the

@@ -2,7 +2,9 @@
 // (round-trip, tamper rejection), the router's core acceptance
 // criterion — in-shard routed responses BYTE-IDENTICAL to single-process
 // serving of the monolithic model — halo vs fallback routing, the
-// retry-then-degrade path when a shard backend is down, fail-fast
+// retry-then-degrade path when a shard backend is down, byte-identical
+// answers over every router->backend hop (structured in-process, the
+// default JSON line path, binary and JSON TCP fleets), fail-fast
 // startup on manifest/snapshot mismatches, and the LineClient deadlines
 // the remote backends ride on.
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "hexgrid/hexgrid.h"
@@ -576,6 +580,254 @@ TEST_F(RouterTest, AllBackendsDownYieldsPerRequestErrorsNotAFrameError) {
   const Json response = MustParse(router.HandleLine(single.Dump()));
   EXPECT_FALSE(response.Find("ok")->bool_value());
   EXPECT_EQ(response.Find("route")->string_value(), "unavailable");
+}
+
+// ---------------------------------------------------------------- hop paths
+
+// A backend that overrides only Call and Describe, as perfbench's timing
+// and recording wrappers do: its Impute is ShardBackend's default, the
+// JSON line path.
+class LineOnlyBackend : public ShardBackend {
+ public:
+  explicit LineOnlyBackend(std::shared_ptr<ShardBackend> inner)
+      : inner_(std::move(inner)) {}
+  Result<std::string> Call(const std::string& line) override {
+    return inner_->Call(line);
+  }
+  std::string Describe() const override { return inner_->Describe(); }
+
+ private:
+  std::shared_ptr<ShardBackend> inner_;
+};
+
+// Two in-process servers listening on loopback: a habit_serve fleet
+// without processes.
+class Fleet {
+ public:
+  Fleet() {
+    server::ServerOptions options;
+    options.cache_bytes = 1ull << 30;
+    options.threads = 2;
+    for (int i = 0; i < 2; ++i) {
+      servers_.push_back(std::make_unique<server::Server>(options));
+      EXPECT_TRUE(servers_.back()->Listen(0).ok());
+      server::Server* server = servers_.back().get();
+      threads_.emplace_back([server] { EXPECT_TRUE(server->Serve().ok()); });
+    }
+  }
+  ~Fleet() {
+    for (auto& server : servers_) server->Shutdown();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  std::vector<std::shared_ptr<ShardBackend>> Backends(bool binary) const {
+    server::ClientOptions options;
+    options.connect_timeout_ms = 2000;
+    options.io_timeout_ms = 10000;
+    options.binary = binary;
+    std::vector<std::shared_ptr<ShardBackend>> backends;
+    for (const auto& server : servers_) {
+      backends.push_back(
+          std::make_shared<RemoteBackend>(server->bound_port(), options));
+    }
+    return backends;
+  }
+
+ private:
+  std::vector<std::unique_ptr<server::Server>> servers_;
+  std::vector<std::thread> threads_;
+};
+
+// One router per hop path over the same manifest: (a) LocalBackend's
+// structured call, (b) the default line path through a Call-only wrapper
+// of a LocalBackend, (c) RemoteBackend fleets negotiating binary frames,
+// (d) the same over JSON lines. Each path gets its own servers unless
+// `fleet` is shared, so no path sees another's cached models.
+struct HopRigs {
+  static constexpr const char* kNames[] = {"local", "line-only", "binary",
+                                           "json"};
+  std::vector<std::unique_ptr<server::Server>> local_servers;
+  std::vector<std::unique_ptr<Fleet>> fleets;
+  std::vector<std::unique_ptr<Router>> routers;
+  /// The fallback backend's Describe() per path: the prefix of its
+  /// rejection messages.
+  std::vector<std::string> fallback_names;
+};
+
+HopRigs MakeHopRigs(const ShardManifest& manifest, const std::string& dir,
+                    bool shared_fleet) {
+  HopRigs rigs;
+  server::ServerOptions options;
+  options.cache_bytes = 1ull << 30;
+  options.threads = 2;
+  std::vector<std::vector<std::shared_ptr<ShardBackend>>> backends;
+  for (int i = 0; i < 2; ++i) {
+    rigs.local_servers.push_back(std::make_unique<server::Server>(options));
+  }
+  auto local = std::make_shared<LocalBackend>(rigs.local_servers[0].get());
+  backends.push_back({local});
+  backends.push_back({std::make_shared<LineOnlyBackend>(
+      std::make_shared<LocalBackend>(rigs.local_servers[1].get()))});
+  rigs.fleets.push_back(std::make_unique<Fleet>());
+  if (!shared_fleet) rigs.fleets.push_back(std::make_unique<Fleet>());
+  backends.push_back(rigs.fleets.front()->Backends(/*binary=*/true));
+  backends.push_back(rigs.fleets.back()->Backends(/*binary=*/false));
+  for (auto& fleet_backends : backends) {
+    rigs.fallback_names.push_back(fleet_backends.back()->Describe());
+    auto made = Router::Make(manifest, dir, fleet_backends);
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    rigs.routers.push_back(made.ok() ? made.MoveValue() : nullptr);
+  }
+  return rigs;
+}
+
+// `line` with every occurrence of `name` replaced by a placeholder, so
+// rejection messages from differently addressed backends compare.
+std::string Anonymized(std::string line, const std::string& name) {
+  for (size_t pos = line.find(name); pos != std::string::npos;
+       pos = line.find(name, pos)) {
+    line.replace(pos, name.size(), "<backend>");
+  }
+  return line;
+}
+
+// A stats line without its timing-dependent latency estimates.
+std::string StatsWithoutLatency(const std::string& line) {
+  Json stats = MustParse(line);
+  Json out = Json::Object();
+  for (const auto& [key, value] : stats.members()) {
+    if (key != "models") {
+      out.Set(key, value);
+      continue;
+    }
+    Json models = Json::Array();
+    for (const Json& model : value.items()) {
+      Json kept = Json::Object();
+      for (const auto& [field, v] : model.members()) {
+        if (field != "latency_p50_ms" && field != "latency_p99_ms") {
+          kept.Set(field, v);
+        }
+      }
+      models.Append(std::move(kept));
+    }
+    out.Set(key, std::move(models));
+  }
+  return out.Dump();
+}
+
+// Shard, halo and fallback routes, plus a gap off the lane that the
+// fallback answers with a per-request error.
+std::vector<api::ImputeRequest> MixedRouteFrame(
+    api::ImputeRequest in_shard, api::ImputeRequest halo,
+    api::ImputeRequest cross_lane) {
+  api::ImputeRequest off_lane = GapRequest(55.1, 55.2);
+  off_lane.gap_end.lng = 13.0;
+  in_shard.vessel_id = 219000001;
+  halo.vessel_type = ais::VesselType::kPassenger;
+  return {in_shard, halo, cross_lane, off_lane};
+}
+
+TEST_F(RouterTest, EveryHopPathAnswersByteForByteAlike) {
+  HopRigs rigs = MakeHopRigs(*manifest_, *dir_, /*shared_fleet=*/true);
+  const std::vector<api::ImputeRequest> requests =
+      MixedRouteFrame(InShardGap(), HaloGap(), CrossLaneGap());
+  Json frame = MustParse(server::EncodeImputeBatchRequest("", requests));
+  frame.Set("id", Json::String("hop-1"));
+  const std::string line = frame.Dump();
+
+  std::vector<std::string> answers;
+  for (const auto& router : rigs.routers) {
+    ASSERT_NE(router, nullptr);
+    answers.push_back(router->HandleLine(line));
+  }
+  for (size_t p = 1; p < answers.size(); ++p) {
+    EXPECT_EQ(answers[p], answers[0]) << HopRigs::kNames[p];
+  }
+
+  const Json answer = MustParse(answers[0]);
+  ASSERT_TRUE(answer.Find("ok")->bool_value()) << answers[0];
+  const Json* routes = answer.Find("routes");
+  const Json* results = answer.Find("results");
+  ASSERT_EQ(routes->items().size(), requests.size());
+  EXPECT_EQ(routes->items()[0].string_value(), "shard");
+  EXPECT_EQ(routes->items()[1].string_value(), "halo");
+  EXPECT_EQ(routes->items()[2].string_value(), "fallback");
+  EXPECT_EQ(routes->items()[3].string_value(), "fallback");
+  EXPECT_FALSE(results->items()[3].Find("ok")->bool_value());
+  const std::vector<std::string> reference =
+      MonolithicResults(*rigs.routers[0], requests);
+  ASSERT_EQ(reference.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(results->items()[i].Dump(), reference[i]) << i;
+  }
+
+  // The in-process server saw the same frames either way: the structured
+  // entry counts a sub-frame as HandleLine counts its line.
+  EXPECT_EQ(StatsWithoutLatency(
+                rigs.local_servers[0]->HandleLine("{\"op\":\"stats\"}")),
+            StatsWithoutLatency(
+                rigs.local_servers[1]->HandleLine("{\"op\":\"stats\"}")));
+}
+
+TEST_F(RouterTest, EveryHopPathDegradesAndFailsAlike) {
+  // A private copy of the shard directory: snapshots are deleted below.
+  const std::string dir = *dir_ + "_hop_failures";
+  std::filesystem::remove_all(dir);
+  std::filesystem::copy(*dir_, dir, std::filesystem::copy_options::recursive);
+  size_t shard = 0;
+  const std::vector<api::ImputeRequest> requests =
+      MixedRouteFrame(InShardGap(&shard), HaloGap(), CrossLaneGap());
+  const std::string line = server::EncodeImputeBatchRequest("", requests);
+
+  // The planned shard's snapshot is gone: its group degrades to the
+  // fallback, identically on every path.
+  {
+    HopRigs rigs = MakeHopRigs(*manifest_, dir, /*shared_fleet=*/false);
+    std::filesystem::remove(dir + "/" + manifest_->shards[shard].snapshot_path);
+    std::vector<std::string> answers;
+    for (const auto& router : rigs.routers) {
+      ASSERT_NE(router, nullptr);
+      answers.push_back(router->HandleLine(line));
+    }
+    const Json answer = MustParse(answers[0]);
+    EXPECT_EQ(answer.Find("routes")->items()[0].string_value(), "degraded")
+        << answers[0];
+    for (size_t p = 1; p < answers.size(); ++p) {
+      EXPECT_EQ(answers[p], answers[0]) << HopRigs::kNames[p];
+    }
+  }
+
+  // The fallback's snapshot is gone too: the degraded group and the
+  // fallback group answer per-request "unavailable" errors carrying the
+  // fallback backend's rejection message.
+  {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(*dir_, dir,
+                          std::filesystem::copy_options::recursive);
+    HopRigs rigs = MakeHopRigs(*manifest_, dir, /*shared_fleet=*/false);
+    std::filesystem::remove(dir + "/" + manifest_->shards[shard].snapshot_path);
+    std::filesystem::remove(dir + "/" + manifest_->fallback.snapshot_path);
+    std::vector<std::string> answers;
+    for (size_t p = 0; p < rigs.routers.size(); ++p) {
+      ASSERT_NE(rigs.routers[p], nullptr);
+      answers.push_back(Anonymized(rigs.routers[p]->HandleLine(line),
+                                   rigs.fallback_names[p]));
+    }
+    const Json answer = MustParse(answers[0]);
+    const Json& first = answer.Find("results")->items()[0];
+    EXPECT_EQ(answer.Find("routes")->items()[0].string_value(),
+              "unavailable")
+        << answers[0];
+    EXPECT_EQ(first.Find("error")->Find("code")->string_value(), "Internal");
+    EXPECT_EQ(first.Find("error")->Find("message")->string_value().rfind(
+                  "<backend> rejected the sub-frame: ", 0),
+              0u)
+        << answers[0];
+    for (size_t p = 1; p < answers.size(); ++p) {
+      EXPECT_EQ(answers[p], answers[0]) << HopRigs::kNames[p];
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------- client deadlines

@@ -11,14 +11,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/registry.h"
+#include "core/format.h"
+#include "core/rng.h"
 #include "server/frame.h"
 #include "server/json.h"
 #include "server/line_client.h"
@@ -182,15 +188,140 @@ TEST(JsonTest, ValueCountCapStopsExpansionBombs) {
   EXPECT_FALSE(Json::Parse("[1,2,3,4,5]", 64, 5).ok());  // 6 values
 }
 
-TEST(JsonTest, NumbersRoundTripExactly) {
-  for (const double d : {0.0, 54.426565983510976, -10.226121292051234,
-                         1e-300, 12345678901234.0, 0.1}) {
-    const std::string text = DumpDouble(d);
-    auto v = Json::Parse(text);
-    ASSERT_TRUE(v.ok()) << text;
-    EXPECT_EQ(v.value().number_value(), d) << text;
+// The number codec's reference: the snprintf/strtod loop it replaced.
+// DumpDouble and core::FormatDouble must print the same bytes, and
+// Json::Parse must read strtod's bits.
+std::string LoopFormat(double d) {
+  char buf[40];
+  for (const int precision : {15, 16, 17}) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, d);
+    // lint: raw-parse(the reference's round-trip probe)
+    if (std::strtod(buf, nullptr) == d) break;
   }
+  return buf;
+}
+
+std::string LoopDumpDouble(double d) {
+  if (!std::isfinite(d)) return "null";
+  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+    return buf;
+  }
+  return LoopFormat(d);
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// Parses `token` as a whole JSON document and expects strtod's bits.
+void ExpectParsesLikeStrtod(const std::string& token) {
+  auto parsed = Json::Parse(token);
+  ASSERT_TRUE(parsed.ok()) << token << ": " << parsed.status().ToString();
+  ASSERT_TRUE(parsed.value().is_number()) << token;
+  // lint: raw-parse(the reference conversion)
+  const double expected = std::strtod(token.c_str(), nullptr);
+  EXPECT_EQ(Bits(parsed.value().number_value()), Bits(expected)) << token;
+}
+
+TEST(JsonTest, NumbersRoundTripExactly) {
+  Rng rng(20241);
+  std::vector<double> table;
+  for (int i = 0; i < 100000; ++i) {
+    const uint64_t bits = rng.engine()();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (std::isfinite(d)) table.push_back(d);
+  }
+  for (int i = 0; i < 20000; ++i) {
+    table.push_back(rng.Uniform(-90, 90));
+    table.push_back(rng.Uniform(-180, 180));
+  }
+  for (const double edge : {90.0, -90.0, 180.0, -180.0}) {
+    table.push_back(edge);
+    table.push_back(std::nextafter(edge, 0.0));
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    table.push_back(p);
+    table.push_back(std::nextafter(p, 0.0));
+    table.push_back(-p);
+  }
+  const double subnormal_edges[] = {
+      std::numeric_limits<double>::denorm_min(),
+      2 * std::numeric_limits<double>::denorm_min(),
+      std::nextafter(std::numeric_limits<double>::min(), 0.0),
+      std::numeric_limits<double>::min(),
+      std::nextafter(std::numeric_limits<double>::min(), 1.0),
+      std::numeric_limits<double>::max(),
+      0.0,
+      -0.0,
+      1e15,
+      0.1,
+      54.426565983510976,
+      -10.226121292051234};
+  for (const double d : subnormal_edges) {
+    table.push_back(d);
+    table.push_back(-d);
+  }
+  ASSERT_GE(table.size(), 100000u);
+
+  size_t mismatches = 0;
+  for (const double d : table) {
+    const std::string dumped = DumpDouble(d);
+    const std::string formatted = core::FormatDouble(d);
+    const std::string loop = LoopFormat(d);
+    const std::string loop_dumped = LoopDumpDouble(d);
+    if (dumped != loop_dumped || formatted != loop) {
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << std::hexfloat << d << ": DumpDouble " << dumped
+                      << " vs " << loop_dumped << ", FormatDouble "
+                      << formatted << " vs " << loop;
+      }
+      continue;
+    }
+    ExpectParsesLikeStrtod(dumped);
+    if (loop != dumped) ExpectParsesLikeStrtod(loop);
+  }
+  EXPECT_EQ(mismatches, 0u);
   EXPECT_EQ(DumpDouble(3600), "3600");  // integral: no exponent, no ".0"
+  EXPECT_EQ(DumpDouble(-0.0), "-0");
+  EXPECT_EQ(DumpDouble(std::nan("")), "null");
+  // The CSV writer prints non-finite values as printf does.
+  for (const double d : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::nan(""), -std::nan("")}) {
+    EXPECT_EQ(core::FormatDouble(d), LoopFormat(d));
+  }
+
+  // Long mantissas: 1-30 digits, exponents -350..350.
+  for (int i = 0; i < 20000; ++i) {
+    std::string token = rng.Bernoulli(0.5) ? "-" : "";
+    const int digits = static_cast<int>(rng.UniformInt(1, 30));
+    const int point = static_cast<int>(rng.UniformInt(0, digits));
+    token += static_cast<char>('1' + rng.UniformInt(0, 8));
+    for (int k = 1; k < digits; ++k) {
+      if (k == point) token += '.';
+      token += static_cast<char>('0' + rng.UniformInt(0, 9));
+    }
+    token += "e" + std::to_string(rng.UniformInt(-350, 350));
+    // lint: raw-parse(only tokens strtod reads as finite are valid JSON here)
+    if (!std::isfinite(std::strtod(token.c_str(), nullptr))) continue;
+    ExpectParsesLikeStrtod(token);
+  }
+
+  // Out of range: underflow reads as a signed zero, overflow is refused.
+  ExpectParsesLikeStrtod("1e-400");
+  ExpectParsesLikeStrtod("-1e-400");
+  EXPECT_TRUE(std::signbit(Json::Parse("-1e-400").value().number_value()));
+  const auto overflow = Json::Parse("1e400");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.status().message().find("number out of range"),
+            std::string::npos)
+      << overflow.status().ToString();
 }
 
 // ----------------------------------------------------------------- protocol

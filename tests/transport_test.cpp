@@ -2,7 +2,8 @@
 // transport: negotiation by first bytes, frames fragmented across reads,
 // pipelined mixed binary + invalid frames, the oversized-frame rule
 // (answered exactly once, then close), slow-reader write backpressure,
-// deterministic shutdown with idle connections parked, and the
+// deterministic shutdown with idle connections parked, pipelined
+// responses that do not wait on delayed ACKs (TCP_NODELAY), and the
 // JSON<->binary equivalence contract — the same request line answered
 // over both protocols yields byte-identical response lines (and numerics
 // matching to 1e-12).
@@ -10,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -459,6 +461,56 @@ TEST_F(TransportTest, MixedProtocolClientsShareOneServer) {
   // per binary client (clients 0, 2, 4) and this stats frame itself.
   EXPECT_EQ(stats.value().Find("frames")->number_value(),
             static_cast<double>(kClients * kCallsPerClient + 3 + 1));
+
+  server.Shutdown();
+  serve_thread.join();
+}
+
+TEST_F(TransportTest, PipelinedResponsesDoNotWaitForDelayedAcks) {
+  // Two frames in one send: the server answers them one after the other,
+  // so the second, small response leaves while the first is still
+  // unacknowledged. With Nagle on, it waits for that ACK, which a client
+  // in delayed-ACK mode holds back ~40 ms; accepted sockets set
+  // TCP_NODELAY so it does not.
+  Server server(SmallOptions());
+  ASSERT_TRUE(server.Listen(0).ok());
+  std::thread serve_thread([&server] { ASSERT_TRUE(server.Serve().ok()); });
+
+  LineClient client(server.bound_port());
+  ASSERT_TRUE(client.connected()) << client.last_error();
+  const std::string single = EncodeImputeRequest(*load_spec_, LaneRequest());
+  std::string response;
+  // Warm the model and the connection (a fresh connection ACKs at once).
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.Call(single, &response)) << client.last_error();
+  }
+  // Short gaps keep each pair cheap even in a sanitizer build, so only a
+  // stall can take it past the bound.
+  std::vector<api::ImputeRequest> eight;
+  for (int i = 0; i < 8; ++i) {
+    api::ImputeRequest req = LaneRequest(0.002 * i);
+    req.gap_end.lat = req.gap_start.lat + 0.02;
+    eight.push_back(req);
+  }
+  const std::string pair =
+      EncodeImputeBatchRequest(*load_spec_, eight) + "\n" + single + "\n";
+  // A stall costs every pair ~40 ms. The median, not the slowest pair,
+  // is held to the bound: a parallel sanitizer run can delay a single
+  // pair past it on CPU time alone.
+  std::vector<double> pair_ms;
+  for (int rep = 0; rep < 20; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.SendRaw(pair)) << client.last_error();
+    ASSERT_TRUE(client.ReadLine(&response)) << client.last_error();
+    ASSERT_TRUE(client.ReadLine(&response)) << client.last_error();
+    pair_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::string all;
+  for (const double ms : pair_ms) all += " " + std::to_string(ms);
+  std::nth_element(pair_ms.begin(), pair_ms.begin() + 10, pair_ms.end());
+  EXPECT_LT(pair_ms[10], 20.0) << "pair times (ms):" << all;
 
   server.Shutdown();
   serve_thread.join();
