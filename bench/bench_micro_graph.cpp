@@ -1,11 +1,11 @@
 // Microbenchmarks for the graph substrate: A* / Dijkstra over lane-like
 // hexgrid graphs, KD-tree queries (the inner loops of HABIT and GTI
-// imputation), the bucketed id->index lookup, and edge iteration.
+// imputation), the hashed id->index lookup, and edge iteration.
 //
 // Unlike the other micro benches this one defines its own main: after the
 // Google Benchmark suite it emits BENCH_METRIC lines (folded by
-// bench/run_all.sh) comparing the bucketed CompactGraph::IndexOf against
-// the plain binary search it replaced, and the templated ForEachEdge
+// bench/run_all.sh) comparing the hashed CompactGraph::IndexOf against a
+// plain binary search over the id column, and the templated ForEachEdge
 // visitor against a std::function-wrapped one.
 #include <benchmark/benchmark.h>
 
@@ -15,9 +15,11 @@
 
 #include "core/rng.h"
 #include "core/stopwatch.h"
+#include "eval/harness.h"
 #include "graph/digraph.h"
 #include "graph/kdtree.h"
 #include "graph/shortest_path.h"
+#include "habit/graph_builder.h"
 #include "hexgrid/hexgrid.h"
 
 namespace {
@@ -87,24 +89,28 @@ void BM_FreezeCorridor(benchmark::State& state) {
 }
 BENCHMARK(BM_FreezeCorridor)->Arg(1000);
 
-// The id universe + query mix the IndexOf benchmarks share: corridor cell
-// ids (the realistic clustered-uint64 distribution) queried with ~2/3
-// present ids and ~1/3 near-misses (the imputer probes ring neighbors that
-// are often absent).
+// An id universe + query mix for the IndexOf benchmarks.
 struct IndexOfFixture {
   graph::CompactGraph g;
   std::vector<graph::NodeId> sorted_ids;
   std::vector<graph::NodeId> queries;
 };
 
+void FillSortedIds(IndexOfFixture* fx) {
+  fx->sorted_ids.reserve(fx->g.num_nodes());
+  for (graph::NodeIndex i = 0; i < fx->g.num_nodes(); ++i) {
+    fx->sorted_ids.push_back(fx->g.IdOf(i));
+  }
+}
+
+// Synthetic: a zig-zag corridor of cells queried with ~2/3 present ids and
+// ~1/3 `id ^ 0x3` misses. Its ids are sparse along every hex row, so no
+// part of the id range is crowded.
 IndexOfFixture MakeIndexOfFixture(int num_cells) {
   IndexOfFixture fx;
   hex::CellId start, end;
   fx.g = MakeCorridorGraph(num_cells, &start, &end).Freeze();
-  fx.sorted_ids.reserve(fx.g.num_nodes());
-  for (graph::NodeIndex i = 0; i < fx.g.num_nodes(); ++i) {
-    fx.sorted_ids.push_back(fx.g.IdOf(i));
-  }
+  FillSortedIds(&fx);
   Rng rng(11);
   fx.queries.reserve(4096);
   for (int q = 0; q < 4096; ++q) {
@@ -116,7 +122,34 @@ IndexOfFixture MakeIndexOfFixture(int num_cells) {
   return fx;
 }
 
-// Baseline: the full-range std::lower_bound IndexOf this PR replaced.
+// Realistic: a HABIT graph built from the KIEL training trips at r=10
+// (tens of thousands of nodes, whole hex rows of consecutive ids), queried
+// with what the snap asks for — the cells of rings 0..12 around sampled
+// trip reports, hits and misses as they come.
+IndexOfFixture MakeBuiltIndexOfFixture() {
+  IndexOfFixture fx;
+  auto exp = eval::PrepareExperiment("KIEL", {}).MoveValue();
+  core::HabitConfig config;
+  config.resolution = 10;
+  fx.g = core::BuildGraphFromTrips(exp.train_trips, config)
+             .MoveValue()
+             .Freeze();
+  FillSortedIds(&fx);
+  Rng rng(13);
+  for (int sample = 0; sample < 64; ++sample) {
+    const ais::Trip& trip =
+        exp.test_trips[rng.UniformInt(0, exp.test_trips.size() - 1)];
+    const geo::LatLng p =
+        trip.points[rng.UniformInt(0, trip.points.size() - 1)].pos;
+    for (const hex::CellId c :
+         hex::GridDisk(hex::LatLngToCell(p, config.resolution), 12)) {
+      fx.queries.push_back(c);
+    }
+  }
+  return fx;
+}
+
+// Baseline: std::lower_bound over the sorted id column.
 graph::NodeIndex BinarySearchIndexOf(const std::vector<graph::NodeId>& ids,
                                      graph::NodeId id) {
   const auto it = std::lower_bound(ids.begin(), ids.end(), id);
@@ -124,7 +157,7 @@ graph::NodeIndex BinarySearchIndexOf(const std::vector<graph::NodeId>& ids,
   return static_cast<graph::NodeIndex>(it - ids.begin());
 }
 
-void BM_IndexOfBucket(benchmark::State& state) {
+void BM_IndexOfTable(benchmark::State& state) {
   const IndexOfFixture fx = MakeIndexOfFixture(static_cast<int>(state.range(0)));
   size_t q = 0;
   for (auto _ : state) {
@@ -132,7 +165,7 @@ void BM_IndexOfBucket(benchmark::State& state) {
     q = (q + 1) % fx.queries.size();
   }
 }
-BENCHMARK(BM_IndexOfBucket)->Arg(1000)->Arg(50000);
+BENCHMARK(BM_IndexOfTable)->Arg(1000)->Arg(50000);
 
 void BM_IndexOfBinarySearch(benchmark::State& state) {
   const IndexOfFixture fx = MakeIndexOfFixture(static_cast<int>(state.range(0)));
@@ -228,7 +261,7 @@ BENCHMARK(BM_KdTreeRadius);
 // BENCH_METRIC rows: manual head-to-head timings the trajectory tooling
 // tracks (Google Benchmark's own numbers stay in its human output).
 
-double MeanNsIndexOfBucket(const IndexOfFixture& fx, int rounds) {
+double MeanNsIndexOfTable(const IndexOfFixture& fx, int rounds) {
   uint64_t sink = 0;
   Stopwatch sw;
   for (int r = 0; r < rounds; ++r) {
@@ -252,18 +285,31 @@ double MeanNsIndexOfBinary(const IndexOfFixture& fx, int rounds) {
   return ns / (static_cast<double>(rounds) * fx.queries.size());
 }
 
-void PrintIndexOfMetric() {
-  const IndexOfFixture fx = MakeIndexOfFixture(50000);
+struct IndexOfTiming {
+  size_t nodes = 0;
+  size_t queries = 0;
+  double table_ns = 0;
+  double binary_ns = 0;
+};
+
+IndexOfTiming TimeIndexOf(const IndexOfFixture& fx, int rounds) {
   // Warm both paths once, then measure.
-  MeanNsIndexOfBucket(fx, 1);
+  MeanNsIndexOfTable(fx, 1);
   MeanNsIndexOfBinary(fx, 1);
-  const double bucket_ns = MeanNsIndexOfBucket(fx, 50);
-  const double binary_ns = MeanNsIndexOfBinary(fx, 50);
-  std::printf("BENCH_METRIC {\"metric\":\"index_of_lookup\",\"nodes\":%zu,"
-              "\"bucket_ns\":%.2f,\"binary_search_ns\":%.2f,"
-              "\"speedup\":%.2f}\n",
-              fx.g.num_nodes(), bucket_ns, binary_ns,
-              bucket_ns > 0 ? binary_ns / bucket_ns : 0.0);
+  return {fx.g.num_nodes(), fx.queries.size(), MeanNsIndexOfTable(fx, rounds),
+          MeanNsIndexOfBinary(fx, rounds)};
+}
+
+void PrintIndexOfMetric() {
+  const IndexOfTiming corridor = TimeIndexOf(MakeIndexOfFixture(50000), 50);
+  const IndexOfTiming built = TimeIndexOf(MakeBuiltIndexOfFixture(), 10);
+  const auto speedup = [](const IndexOfTiming& t) {
+    return t.table_ns > 0 ? t.binary_ns / t.table_ns : 0.0;
+  };
+  std::printf("BENCH_METRIC {\"metric\":\"index_of_lookup\",\"corridor\":{\"nodes\":%zu,\"queries\":%zu,\"table_ns\":%.2f,\"binary_search_ns\":%.2f,\"speedup\":%.2f},\"kiel_r10\":{\"nodes\":%zu,\"queries\":%zu,\"table_ns\":%.2f,\"binary_search_ns\":%.2f,\"speedup\":%.2f}}\n",
+              corridor.nodes, corridor.queries, corridor.table_ns,
+              corridor.binary_ns, speedup(corridor), built.nodes,
+              built.queries, built.table_ns, built.binary_ns, speedup(built));
 }
 
 void PrintForEachEdgeMetric() {

@@ -59,41 +59,48 @@ Status CompactGraph::AttachLandmarks(LandmarkSet set) {
   return Status::OK();
 }
 
-NodeIndex CompactGraph::BisectBucket(NodeId id, uint32_t lo,
-                                     uint32_t hi) const {
-  const auto first = node_ids_.begin() + lo;
-  const auto last = node_ids_.begin() + hi;
-  const auto it = std::lower_bound(first, last, id);
-  if (it == last || *it != id) return kInvalidNodeIndex;
+NodeIndex CompactGraph::BisectIds(NodeId id) const {
+  const auto it = std::lower_bound(node_ids_.begin(), node_ids_.end(), id);
+  if (it == node_ids_.end() || *it != id) return kInvalidNodeIndex;
   return static_cast<NodeIndex>(it - node_ids_.begin());
 }
 
 void CompactGraph::BuildIdLookup() {
+  id_table_.reset();
+  id_slots_ = {};
+  id_shift_ = 0;
+  id_max_probe_ = 0;
   const size_t n = node_ids_.size();
-  if (n == 0) {
-    id_buckets_.reset();
-    id_bucket_count_ = 0;
-    id_range_ = 0;
-    return;
-  }
-  // One bucket per node on average: the lookup array costs 4 bytes/node
-  // and makes the expected probe a one- or two-element scan.
-  id_bucket_count_ = n;
-  id_range_ = node_ids_.back() - node_ids_.front();
-  auto buckets = std::make_shared<std::vector<uint32_t>>(
-      id_bucket_count_ + 1, 0);
-  // node i belongs to bucket BucketOf(id_i); ids are sorted and the bucket
-  // map is monotonic, so bucket contents are contiguous index ranges.
-  // Walk the nodes once, recording where each bucket begins.
-  size_t next_bucket = 0;
+  if (n == 0) return;
+  // At most half full, so an absent id's probe run stays short: 4 bytes
+  // per slot, 8-16 per node.
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * n) ++bits;
+  auto table = std::make_shared<std::vector<NodeIndex>>(size_t{1} << bits,
+                                                        kInvalidNodeIndex);
+  const size_t mask = table->size() - 1;
+  const int shift = 64 - bits;
+  // Ids are distinct (Freeze emits a map's keys; the snapshot loaders'
+  // ValidateGraphCols checked them strictly ascending), so each takes its
+  // own slot: the first free one from its hash onward. Real cell ids sit
+  // within ~30 slots of their hash even at millions of nodes. Ids crafted
+  // to share a hash (a snapshot can hold any ascending ids) would make
+  // this loop quadratic and every lookup linear, so past kMaxIdProbe the
+  // graph keeps no table and IndexOf bisects the sorted ids instead.
+  int max_probe = 0;
   for (size_t i = 0; i < n; ++i) {
-    const size_t b = BucketOf(node_ids_[i], node_ids_.front());
-    while (next_bucket <= b) (*buckets)[next_bucket++] = static_cast<uint32_t>(i);
+    size_t s = (node_ids_[i] * kIdHashMultiplier) >> shift;
+    int probe = 0;
+    for (; (*table)[s] != kInvalidNodeIndex; s = (s + 1) & mask) {
+      if (++probe > kMaxIdProbe) return;
+    }
+    (*table)[s] = static_cast<NodeIndex>(i);
+    max_probe = std::max(max_probe, probe);
   }
-  while (next_bucket <= id_bucket_count_) {
-    (*buckets)[next_bucket++] = static_cast<uint32_t>(n);
-  }
-  id_buckets_ = std::move(buckets);
+  id_shift_ = shift;
+  id_max_probe_ = max_probe;
+  id_slots_ = *table;
+  id_table_ = std::move(table);
 }
 
 CompactGraph CompactGraph::FromOwned(Arrays arrays) {
@@ -165,14 +172,12 @@ size_t CompactGraph::SizeBytes() const {
   auto bytes = [](const auto& v) {
     return v.size() * sizeof(typename std::decay_t<decltype(v)>::element_type);
   };
-  const size_t lookup_bytes =
-      id_buckets_ == nullptr ? 0 : id_buckets_->size() * sizeof(uint32_t);
   return bytes(node_ids_) + bytes(row_offsets_) + bytes(edge_dst_) +
          bytes(edge_weight_) + bytes(in_degree_) + bytes(edge_transitions_) +
          bytes(edge_grid_distance_) + bytes(median_pos_) + bytes(center_pos_) +
          bytes(message_count_) + bytes(distinct_vessels_) +
          bytes(median_sog_) + bytes(median_cog_) + bytes(landmark_nodes_) +
-         bytes(landmark_from_) + bytes(landmark_to_) + lookup_bytes;
+         bytes(landmark_from_) + bytes(landmark_to_) + bytes(id_slots_);
 }
 
 }  // namespace habit::graph

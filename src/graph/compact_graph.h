@@ -2,7 +2,7 @@
 // representation (hash-map adjacency, cheap inserts); Digraph::Freeze()
 // produces a CompactGraph — an immutable CSR layout with dense uint32 node
 // indices, contiguous out-edge spans, structure-of-arrays attributes, a
-// bucketed id->index lookup, and a precomputed in-degree array. Every query
+// hashed id->index lookup, and a precomputed in-degree array. Every query
 // in the system (HABIT imputation, GTI, components, benches) runs against
 // the frozen form; only construction and serialization-loading touch
 // Digraph.
@@ -35,8 +35,8 @@ class MmapRegion;
 using NodeId = uint64_t;
 
 /// Dense position of a node inside a CompactGraph. Indices are assigned in
-/// ascending NodeId order, so IdOf is an array read and IndexOf one bucket
-/// probe.
+/// ascending NodeId order, so IdOf is an array read; IndexOf is one hash
+/// table probe.
 using NodeIndex = uint32_t;
 
 /// Sentinel for "no such node" (also the null parent in search state).
@@ -103,9 +103,9 @@ class CompactGraph {
   /// Copies share the immutable backing (views + refcounts, no array
   /// copy). Moves must not leave the source half-alive: the default move
   /// would null the backing pointers but keep the span views and the
-  /// lookup parameters (spans are trivially copyable), so IndexOf on a
-  /// moved-from graph would dereference a null bucket array. Share, then
-  /// clear the source — a moved-from graph is an empty graph.
+  /// lookup table's view (spans are trivially copyable), so IndexOf on a
+  /// moved-from graph would read a freed table. Share, then clear the
+  /// source — a moved-from graph is an empty graph.
   CompactGraph(const CompactGraph&) = default;
   CompactGraph& operator=(const CompactGraph&) = default;
   CompactGraph(CompactGraph&& other) noexcept : CompactGraph(other) {
@@ -128,26 +128,24 @@ class CompactGraph {
 
   /// Dense index of `id`, or kInvalidNodeIndex when absent.
   ///
-  /// Two-level lookup instead of a full binary search: ids bucket by
-  /// linear interpolation over the id range (monotonic, so each bucket is
-  /// a contiguous slice of the sorted id array), and short buckets resolve
-  /// with a branch-predictable linear scan. This is the imputer's
-  /// per-snap-candidate hot path.
+  /// One probe of an open-addressing table (multiplicative hashing with
+  /// linear probing, Knuth TAOCP vol. 3 §6.4): at most half the slots are
+  /// full, so a lookup reads about one slot plus the id it names. A cell
+  /// id packs res<<60 | i<<30 | j, so the ids of one hex row are
+  /// consecutive; the golden-ratio multiplier scatters them, where an
+  /// interpolation over the id range would put a whole row in one place.
+  /// No id sits more than id_max_probe_ slots past its hash, so a miss
+  /// stops there even inside a long run of full slots. A graph whose ids
+  /// defeat the hash keeps no table and bisects instead (BuildIdLookup).
+  /// This is the imputer's per-ring-cell hot path.
   NodeIndex IndexOf(NodeId id) const {
-    if (node_ids_.empty()) return kInvalidNodeIndex;
-    const NodeId lo = node_ids_.front();
-    if (id < lo || id > node_ids_.back()) return kInvalidNodeIndex;
-    const auto& buckets = *id_buckets_;
-    const size_t b = BucketOf(id, lo);
-    const uint32_t end = buckets[b + 1];
-    // Buckets average ~1 entry; degenerate (skewed-distribution) buckets
-    // fall back to bisection so the worst case stays logarithmic.
-    uint32_t i = buckets[b];
-    if (end - i > 32) return BisectBucket(id, i, end);
-    for (; i < end; ++i) {
-      if (node_ids_[i] >= id) {
-        return node_ids_[i] == id ? i : kInvalidNodeIndex;
-      }
+    if (id_slots_.empty()) return BisectIds(id);
+    const size_t mask = id_slots_.size() - 1;
+    size_t s = (id * kIdHashMultiplier) >> id_shift_;
+    for (int probe = 0; probe <= id_max_probe_; ++probe) {
+      const NodeIndex i = id_slots_[s];
+      if (i == kInvalidNodeIndex || node_ids_[i] == id) return i;
+      s = (s + 1) & mask;
     }
     return kInvalidNodeIndex;
   }
@@ -227,7 +225,7 @@ class CompactGraph {
   }
 
   /// Model footprint in bytes: the sum of the flat CSR arrays plus the
-  /// id-lookup buckets. Identical for the owned and mapped backings (the
+  /// id-lookup table. Identical for the owned and mapped backings (the
   /// mapped arrays are resident in the page cache rather than the heap,
   /// but they are what the model keeps warm — and what a byte-budgeted
   /// model cache must account for).
@@ -282,8 +280,11 @@ class CompactGraph {
     BuildIdLookup();
   }
 
-  /// Builds the interpolation-bucket index over node_ids_.
+  /// Builds the id -> index hash table over node_ids_, or leaves it empty
+  /// when some id would sit more than kMaxIdProbe slots past its hash.
   void BuildIdLookup();
+  /// std::lower_bound over node_ids_: the lookup of a graph with no table.
+  NodeIndex BisectIds(NodeId id) const;
 
   /// Returns to the default-constructed (empty) state.
   void Clear() {
@@ -293,9 +294,10 @@ class CompactGraph {
     landmark_nodes_ = {};
     landmark_from_ = {};
     landmark_to_ = {};
-    id_buckets_.reset();
-    id_bucket_count_ = 0;
-    id_range_ = 0;
+    id_table_.reset();
+    id_slots_ = {};
+    id_shift_ = 0;
+    id_max_probe_ = 0;
     node_ids_ = {};
     row_offsets_ = {};
     edge_dst_ = {};
@@ -311,25 +313,28 @@ class CompactGraph {
     median_cog_ = {};
   }
 
-  size_t BucketOf(NodeId id, NodeId lo) const {
-    // Monotonic map of the id range onto [0, num_buckets): equal scaling
-    // for every id, 128-bit so the widest id spans cannot overflow.
-    const unsigned __int128 offset = id - lo;
-    return static_cast<size_t>((offset * id_bucket_count_) /
-                               (id_range_ + 1));
-  }
-  NodeIndex BisectBucket(NodeId id, uint32_t lo, uint32_t hi) const;
+  /// 2^64 / golden ratio, odd: the Fibonacci hashing multiplier.
+  static constexpr uint64_t kIdHashMultiplier = 0x9E3779B97F4A7C15ULL;
+  /// Longest probe run BuildIdLookup accepts: about twice the longest
+  /// measured on built HABIT graphs (31 slots at 3.3M nodes), and twice
+  /// the 32 reads a bisection of any graph needs, which longer runs lose to.
+  static constexpr int kMaxIdProbe = 64;
 
   std::shared_ptr<const Arrays> owned_;
   std::shared_ptr<const MmapRegion> mapped_;
   /// Backing for landmark columns attached in-process or copy-loaded (a
   /// mapped snapshot serves them through mapped_ instead).
   std::shared_ptr<const LandmarkSet> landmarks_owned_;
-  /// id -> bucket start positions (size id_bucket_count_ + 1), built at
-  /// freeze/load time; always owned (it is derived, not persisted).
-  std::shared_ptr<const std::vector<uint32_t>> id_buckets_;
-  uint64_t id_bucket_count_ = 0;
-  unsigned __int128 id_range_ = 0;  ///< node_ids_.back() - node_ids_.front()
+  /// id -> index hash table: a power-of-two count of slots, at least
+  /// twice num_nodes, each holding a node index or kInvalidNodeIndex when
+  /// empty. Built at freeze/load time and always owned (it is derived, not
+  /// persisted); id_slots_ views it, id_shift_ is 64 - log2(slots), and
+  /// id_max_probe_ is the farthest any id sits past its hash slot. Empty
+  /// for an empty graph and for ids that defeat the hash.
+  std::shared_ptr<const std::vector<NodeIndex>> id_table_;
+  std::span<const NodeIndex> id_slots_;
+  int id_shift_ = 0;
+  int id_max_probe_ = 0;
 
   // The column views every accessor reads through; they alias owned_ or
   // mapped_ (or are empty on a default-constructed graph).

@@ -34,6 +34,13 @@ struct SearchScratch {
   std::vector<uint32_t> visit_stamp;
   std::vector<uint32_t> settle_stamp;
   uint32_t generation = 0;
+  /// The query's target set, stamped like the search marks but with its
+  /// own generation: a caller marks the targets once (PrepareTargets, then
+  /// MarkTarget), and every search of the query — an ALT run makes up to
+  /// three — tests a settled node with one load (IsTarget). Prepare does
+  /// not touch it.
+  std::vector<uint32_t> target_stamp;
+  uint32_t target_generation = 0;
 
   /// Per-query ALT state (graph/landmarks.h): the active landmark subset
   /// and its aggregated bounds toward this query's target set. Lives here
@@ -83,6 +90,20 @@ struct SearchScratch {
     }
     ++generation;
     heap.clear();
+  }
+
+  /// Starts a new, empty target set over a graph of `num_nodes` nodes.
+  void PrepareTargets(size_t num_nodes) {
+    if (target_stamp.size() < num_nodes) target_stamp.resize(num_nodes, 0);
+    if (target_generation == UINT32_MAX) {  // wraparound: hard reset
+      std::fill(target_stamp.begin(), target_stamp.end(), 0);
+      target_generation = 0;
+    }
+    ++target_generation;
+  }
+  void MarkTarget(NodeIndex u) { target_stamp[u] = target_generation; }
+  bool IsTarget(NodeIndex u) const {
+    return target_stamp[u] == target_generation;
   }
 
   bool Visited(NodeIndex u) const { return visit_stamp[u] == generation; }

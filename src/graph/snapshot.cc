@@ -275,7 +275,7 @@ Result<GraphCols> ReadGraphCols(SnapshotReader& reader) {
 // checksum catches bit rot (copying path only); these catch a well-formed
 // file holding an impossible graph (hand-edited, or written by a buggy
 // producer) on both paths — and they must pass before the id-lookup
-// buckets are built, which assumes sorted ids. Weights must be finite and
+// table is built, which assumes distinct ids. Weights must be finite and
 // non-negative: a NaN would break the search heap's strict weak ordering,
 // and a negative cost would make settled distances wrong. The landmark
 // columns get the same treatment (ValidateLandmarks).

@@ -10,29 +10,26 @@ namespace habit::core {
 Imputer::Imputer(const graph::CompactGraph* graph, const HabitConfig& config)
     : graph_(graph), config_(config) {}
 
-std::vector<hex::CellId> Imputer::SnapCandidates(
-    const geo::LatLng& p, SnapRole role, size_t max_candidates) const {
-  std::vector<hex::CellId> found;
+std::vector<Imputer::Candidate> Imputer::Snap(const geo::LatLng& p,
+                                              SnapRole role,
+                                              size_t max_candidates) const {
+  std::vector<Candidate> found;
   if (!p.IsValid()) return found;
   const hex::CellId own = hex::LatLngToCell(p, config_.resolution);
   if (own == hex::kInvalidCell) return found;
 
   // A source must have somewhere to go; a target must be enterable. Both
-  // checks are O(1) reads of the frozen graph's degree arrays.
-  auto usable = [&](hex::CellId c) {
+  // checks are O(1) reads of the frozen graph's degree arrays. A kept
+  // cell's distance is computed here, once: the cell-center projection and
+  // haversine are trig-heavy, and the sort and the seeds both need them.
+  auto consider = [&](hex::CellId c) {
     const graph::NodeIndex idx = graph_->IndexOf(c);
-    if (idx == graph::kInvalidNodeIndex) return false;
-    switch (role) {
-      case SnapRole::kSource:
-        return graph_->OutDegree(idx) > 0;
-      case SnapRole::kTarget:
-        return graph_->InDegree(idx) > 0;
-      case SnapRole::kAny:
-        return true;
-    }
-    return true;
+    if (idx == graph::kInvalidNodeIndex) return;
+    if (role == SnapRole::kSource && graph_->OutDegree(idx) == 0) return;
+    if (role == SnapRole::kTarget && graph_->InDegree(idx) == 0) return;
+    found.push_back({geo::HaversineMeters(p, hex::CellToLatLng(c)), c, idx});
   };
-  if (usable(own)) found.push_back(own);
+  consider(own);
 
   // Expand rings a few steps beyond the first hit so the search has
   // alternatives when the nearest nodes belong to dead-end fragments.
@@ -40,25 +37,23 @@ std::vector<hex::CellId> Imputer::SnapCandidates(
   for (int k = 1; k <= config_.max_snap_ring; ++k) {
     if (!found.empty() && ++rings_after_hit > 12) break;
     if (found.size() >= max_candidates) break;
-    for (const hex::CellId c : hex::GridRing(own, k)) {
-      if (usable(c)) found.push_back(c);
-    }
+    hex::ForEachRingCell(own, k, consider);
   }
-  // Decorate-sort-undecorate: the cell-center projection and haversine
-  // are trig-heavy, so compute them once per candidate instead of once
-  // per comparison.
-  std::vector<std::pair<double, hex::CellId>> by_distance;
-  by_distance.reserve(found.size());
-  for (const hex::CellId c : found) {
-    by_distance.emplace_back(geo::HaversineMeters(p, hex::CellToLatLng(c)),
-                             c);
-  }
-  std::sort(by_distance.begin(), by_distance.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  found.clear();
-  for (const auto& [dist, c] : by_distance) found.push_back(c);
+  std::sort(found.begin(), found.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.meters < b.meters;
+            });
   if (found.size() > max_candidates) found.resize(max_candidates);
   return found;
+}
+
+std::vector<hex::CellId> Imputer::SnapCandidates(
+    const geo::LatLng& p, SnapRole role, size_t max_candidates) const {
+  std::vector<hex::CellId> cells;
+  for (const Candidate& c : Snap(p, role, max_candidates)) {
+    cells.push_back(c.cell);
+  }
+  return cells;
 }
 
 Result<hex::CellId> Imputer::SnapToNode(const geo::LatLng& p) const {
@@ -76,12 +71,15 @@ Result<hex::CellId> Imputer::SnapToNode(const geo::LatLng& p) const {
 }
 
 geo::LatLng Imputer::ProjectCell(hex::CellId cell) const {
-  if (config_.projection == Projection::kDataMedian) {
-    const graph::NodeIndex idx = graph_->IndexOf(cell);
-    if (idx != graph::kInvalidNodeIndex && graph_->has_attrs() &&
-        graph_->MessageCount(idx) > 0) {
-      return graph_->MedianPos(idx);
-    }
+  return ProjectNode(graph_->IndexOf(cell), cell);
+}
+
+geo::LatLng Imputer::ProjectNode(graph::NodeIndex node,
+                                 hex::CellId cell) const {
+  if (config_.projection == Projection::kDataMedian &&
+      node != graph::kInvalidNodeIndex && graph_->has_attrs() &&
+      graph_->MessageCount(node) > 0) {
+    return graph_->MedianPos(node);
   }
   return hex::CellToLatLng(cell);
 }
@@ -102,21 +100,21 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
                                    gap_start.ToString() + " -> " +
                                    gap_end.ToString());
   }
-  const std::vector<hex::CellId> src_cands =
-      SnapCandidates(gap_start, SnapRole::kSource);
-  const std::vector<hex::CellId> dst_cands =
-      SnapCandidates(gap_end, SnapRole::kTarget);
-  if (src_cands.empty() || dst_cands.empty()) {
+  const std::vector<Candidate> src =
+      Snap(gap_start, SnapRole::kSource, kMaxSnapCandidates);
+  const std::vector<Candidate> dst =
+      Snap(gap_end, SnapRole::kTarget, kMaxSnapCandidates);
+  if (src.empty() || dst.empty()) {
     return Status::Unreachable(
         "gap endpoint could not be snapped to the transition graph");
   }
 
   // Trivial case: both endpoints share a candidate cell.
-  for (const hex::CellId s : src_cands) {
-    if (s == dst_cands.front() &&
-        s == hex::LatLngToCell(gap_end, config_.resolution)) {
+  for (const Candidate& s : src) {
+    if (s.cell == dst.front().cell &&
+        s.cell == hex::LatLngToCell(gap_end, config_.resolution)) {
       Imputation result;
-      result.cells = {s};
+      result.cells = {s.cell};
       result.path = {gap_start, gap_end};
       result.timestamps = {t_start, t_end};
       return result;
@@ -135,37 +133,33 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
       hex::EdgeLengthMeters(config_.resolution) * 1.7320508;
 
   std::vector<graph::SearchSeed> seeds;
-  seeds.reserve(src_cands.size());
-  for (const hex::CellId s : src_cands) {
-    const graph::NodeIndex idx = graph_->IndexOf(s);
-    if (idx == graph::kInvalidNodeIndex) continue;
-    const double seed_cost =
-        geo::HaversineMeters(gap_start, hex::CellToLatLng(s)) / cell_pitch_m;
-    seeds.push_back({idx, seed_cost});
+  seeds.reserve(src.size());
+  for (const Candidate& s : src) {
+    seeds.push_back({s.node, s.meters / cell_pitch_m});
   }
 
-  // Dense target marks over the dst candidates (few dozen at most).
-  std::vector<graph::NodeIndex> target_idx;
-  target_idx.reserve(dst_cands.size());
-  for (const hex::CellId d : dst_cands) {
-    const graph::NodeIndex idx = graph_->IndexOf(d);
-    if (idx != graph::kInvalidNodeIndex) target_idx.push_back(idx);
-  }
-  std::sort(target_idx.begin(), target_idx.end());
-  auto is_target = [&](graph::NodeIndex u) {
-    return std::binary_search(target_idx.begin(), target_idx.end(), u);
+  // The target set is stamped into the scratch once, so every search of
+  // this query tests a settled node with one load.
+  scratch->PrepareTargets(graph_->num_nodes());
+  for (const Candidate& d : dst) scratch->MarkTarget(d.node);
+  const auto is_target = [scratch](graph::NodeIndex u) {
+    return scratch->IsTarget(u);
   };
 
   // The baseline is plain Dijkstra (zero heuristic); with landmarks
   // enabled, RunSearchAlt accelerates it through the snapshot's ALT
   // columns while returning byte-identical paths (see graph/landmarks.h).
-  const graph::CsrSearch run =
-      use_landmarks_ && graph_->num_landmarks() > 0
-          ? graph::RunSearchAlt(*graph_, seeds, is_target, target_idx,
-                                *scratch)
-          : graph::RunSearch(
-                *graph_, seeds, is_target,
-                [](graph::NodeIndex) { return 0.0; }, *scratch);
+  graph::CsrSearch run;
+  if (use_landmarks_ && graph_->num_landmarks() > 0) {
+    std::vector<graph::NodeIndex> targets;
+    targets.reserve(dst.size());
+    for (const Candidate& d : dst) targets.push_back(d.node);
+    run = graph::RunSearchAlt(*graph_, seeds, is_target, targets, *scratch);
+  } else {
+    run = graph::RunSearch(
+        *graph_, seeds, is_target, [](graph::NodeIndex) { return 0.0; },
+        *scratch);
+  }
   if (!run.found) {
     return Status::Unreachable(
         "no snap candidate pair is connected in the transition graph");
@@ -173,8 +167,10 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
 
   Imputation result;
   result.expanded = run.expanded;
-  for (const graph::NodeIndex i :
-       graph::ReconstructPath(*scratch, run.reached)) {
+  const std::vector<graph::NodeIndex> nodes =
+      graph::ReconstructPath(*scratch, run.reached);
+  result.cells.reserve(nodes.size());
+  for (const graph::NodeIndex i : nodes) {
     result.cells.push_back(static_cast<hex::CellId>(graph_->IdOf(i)));
   }
 
@@ -183,8 +179,8 @@ Result<Imputation> Imputer::Impute(const geo::LatLng& gap_start,
   geo::Polyline line;
   line.reserve(result.cells.size() + 2);
   line.push_back(gap_start);
-  for (const hex::CellId c : result.cells) {
-    const geo::LatLng p = ProjectCell(c);
+  for (size_t k = 0; k < nodes.size(); ++k) {
+    const geo::LatLng p = ProjectNode(nodes[k], result.cells[k]);
     if (geo::HaversineMeters(line.back(), p) > 1.0) line.push_back(p);
   }
   if (geo::HaversineMeters(line.back(), gap_end) > 1.0 || line.size() == 1) {

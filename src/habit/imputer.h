@@ -68,13 +68,17 @@ class Imputer {
   /// degree filter applied (sources need out-edges, targets in-edges).
   enum class SnapRole { kAny, kSource, kTarget };
 
+  /// How many snap candidates Impute keeps per endpoint.
+  static constexpr size_t kMaxSnapCandidates = 48;
+
   /// Nearby candidate graph nodes for `p`, sorted by distance. Candidates
   /// from several rings are returned so the search can avoid snapping onto
   /// a disconnected fragment or a directed dead-end of the transition
   /// graph; the role filter reads the frozen graph's out-/in-degree arrays.
-  std::vector<hex::CellId> SnapCandidates(const geo::LatLng& p,
-                                          SnapRole role = SnapRole::kAny,
-                                          size_t max_candidates = 48) const;
+  /// These are the cells Impute seeds and targets, in the same order.
+  std::vector<hex::CellId> SnapCandidates(
+      const geo::LatLng& p, SnapRole role = SnapRole::kAny,
+      size_t max_candidates = kMaxSnapCandidates) const;
 
   /// Inverse projection of one cell under the configured option p.
   geo::LatLng ProjectCell(hex::CellId cell) const;
@@ -87,6 +91,23 @@ class Imputer {
   bool use_landmarks() const { return use_landmarks_; }
 
  private:
+  /// A snap candidate with what the snap learned about it: its distance
+  /// from the snapped point and its node, which the search reuses as the
+  /// seed cost and the seed or target node.
+  struct Candidate {
+    double meters;
+    hex::CellId cell;
+    graph::NodeIndex node;
+  };
+
+  /// The snap behind SnapCandidates: one ring walk, one IndexOf and one
+  /// distance per cell, sorted by distance and cut to `max_candidates`.
+  std::vector<Candidate> Snap(const geo::LatLng& p, SnapRole role,
+                              size_t max_candidates) const;
+
+  /// ProjectCell for a cell whose node index is known.
+  geo::LatLng ProjectNode(graph::NodeIndex node, hex::CellId cell) const;
+
   const graph::CompactGraph* graph_;
   HabitConfig config_;
   bool use_landmarks_ = false;

@@ -19,16 +19,6 @@ constexpr int64_t kMaxAxial = (1LL << 29) - 2;
 
 constexpr uint64_t kCoordMask = (1ULL << 30) - 1;
 
-// Pointy-top axial direction vectors, counter-clockwise starting east.
-constexpr std::array<std::pair<int64_t, int64_t>, 6> kDirections = {{
-    {+1, 0},
-    {+1, -1},
-    {0, -1},
-    {-1, 0},
-    {-1, +1},
-    {0, +1},
-}};
-
 bool AxialInRange(const Axial& a) {
   return a.i >= -kMaxAxial && a.i <= kMaxAxial && a.j >= -kMaxAxial &&
          a.j <= kMaxAxial;
@@ -127,8 +117,8 @@ std::array<CellId, 6> Neighbors(CellId cell) {
   const int res = static_cast<int>(cell >> 60);
   const Axial a = CellToAxial(cell);
   for (size_t d = 0; d < 6; ++d) {
-    out[d] = AxialToCell(
-        res, Axial{a.i + kDirections[d].first, a.j + kDirections[d].second});
+    out[d] = AxialToCell(res, Axial{a.i + kAxialDirections[d].i,
+                                    a.j + kAxialDirections[d].j});
   }
   return out;
 }
@@ -173,21 +163,8 @@ std::vector<CellId> GridRing(CellId origin, int k) {
     out.push_back(origin);
     return out;
   }
-  const int res = static_cast<int>(origin >> 60);
-  Axial cur = CellToAxial(origin);
-  // Walk k steps in direction 4 to reach the ring's starting corner, then
-  // traverse each of the six sides.
-  cur.i += kDirections[4].first * k;
-  cur.j += kDirections[4].second * k;
   out.reserve(6 * k);
-  for (int side = 0; side < 6; ++side) {
-    for (int step = 0; step < k; ++step) {
-      const CellId c = AxialToCell(res, cur);
-      if (c != kInvalidCell) out.push_back(c);
-      cur.i += kDirections[side].first;
-      cur.j += kDirections[side].second;
-    }
-  }
+  ForEachRingCell(origin, k, [&](CellId c) { out.push_back(c); });
   return out;
 }
 

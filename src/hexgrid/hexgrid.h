@@ -92,6 +92,38 @@ std::vector<CellId> GridDisk(CellId origin, int k);
 /// Only the ring at exactly grid distance k.
 std::vector<CellId> GridRing(CellId origin, int k);
 
+/// Pointy-top axial direction vectors, counter-clockwise starting east
+/// (Neighbors' order; ForEachRingCell walks the sides in this order).
+inline constexpr std::array<Axial, 6> kAxialDirections = {{
+    {+1, 0},
+    {+1, -1},
+    {0, -1},
+    {-1, 0},
+    {-1, +1},
+    {0, +1},
+}};
+
+/// Calls `fn(cell)` for each cell at exactly grid distance k >= 1 from the
+/// valid cell `origin`, in GridRing's order, without collecting them:
+/// k steps in direction 4 reach the ring's starting corner, then each of
+/// the six sides is walked in direction order. Cells whose coordinates
+/// fall outside the encodable range are skipped, as GridRing skips them.
+template <typename Fn>
+void ForEachRingCell(CellId origin, int k, Fn&& fn) {
+  const int res = static_cast<int>(origin >> 60);
+  Axial cur = CellToAxial(origin);
+  cur.i += kAxialDirections[4].i * k;
+  cur.j += kAxialDirections[4].j * k;
+  for (const Axial& dir : kAxialDirections) {
+    for (int step = 0; step < k; ++step) {
+      const CellId c = AxialToCell(res, cur);
+      if (c != kInvalidCell) fn(c);
+      cur.i += dir.i;
+      cur.j += dir.j;
+    }
+  }
+}
+
 /// The coarser-resolution cell containing this cell's center.
 /// parent_res must be <= the cell's resolution.
 Result<CellId> CellToParent(CellId cell, int parent_res);

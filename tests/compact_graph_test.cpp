@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -17,9 +18,13 @@
 #include <unordered_set>
 
 #include "core/rng.h"
+#include "eval/harness.h"
 #include "graph/digraph.h"
+#include "graph/search.h"
 #include "graph/shortest_path.h"
 #include "graph/snapshot.h"
+#include "habit/graph_builder.h"
+#include "hexgrid/hexgrid.h"
 
 namespace habit::graph {
 namespace {
@@ -307,6 +312,80 @@ TEST(SearchScratchTest, GenerationWraparoundResetsStamps) {
   auto on_small = Dijkstra(small, small_ids[0], small_ids[0], &scratch);
   ASSERT_TRUE(on_small.ok());
   EXPECT_DOUBLE_EQ(on_small.value().cost, 0.0);
+}
+
+// Seeds `source` and runs a search to the scratch's stamped target set: the
+// imputer's calling pattern (PrepareTargets, MarkTarget, IsTarget).
+CsrSearch SearchToTargets(const CompactGraph& g, NodeIndex source,
+                          const std::vector<NodeIndex>& targets,
+                          SearchScratch& scratch) {
+  scratch.PrepareTargets(g.num_nodes());
+  for (const NodeIndex t : targets) scratch.MarkTarget(t);
+  const SearchSeed seeds[] = {{source, 0.0}};
+  return RunSearch(
+      g, seeds, [&](NodeIndex u) { return scratch.IsTarget(u); },
+      [](NodeIndex) { return 0.0; }, scratch);
+}
+
+TEST(SearchScratchTest, TargetGenerationWraparoundResetsStamps) {
+  // The target stamps keep their own generation; when it wraps, a stamp
+  // left from an old query must not read as a target of the new one.
+  const Digraph g = MakeRandomGraph(47, 40, 2);
+  const CompactGraph frozen = g.Freeze();
+  const NodeIndex n = static_cast<NodeIndex>(frozen.num_nodes());
+
+  SearchScratch scratch;
+  scratch.PrepareTargets(n);  // target_generation 1
+  scratch.MarkTarget(5);
+  scratch.target_generation = UINT32_MAX - 1;
+  scratch.PrepareTargets(n);  // UINT32_MAX
+  scratch.MarkTarget(7);
+  EXPECT_TRUE(scratch.IsTarget(7));
+  EXPECT_FALSE(scratch.IsTarget(5));
+  scratch.PrepareTargets(n);  // wraps: every stamp reset, generation 1
+  EXPECT_EQ(scratch.target_generation, 1u);
+  for (NodeIndex u = 0; u < n; ++u) EXPECT_FALSE(scratch.IsTarget(u)) << u;
+
+  // Searches across the wrap answer as a fresh scratch does.
+  scratch.target_generation = UINT32_MAX - 2;
+  for (int i = 0; i < 5; ++i) {
+    const std::vector<NodeIndex> targets = {static_cast<NodeIndex>(i + 3),
+                                            static_cast<NodeIndex>(n - 1 - i)};
+    SearchScratch fresh;
+    const CsrSearch want = SearchToTargets(frozen, 0, targets, fresh);
+    const CsrSearch got = SearchToTargets(frozen, 0, targets, scratch);
+    ASSERT_EQ(got.found, want.found);
+    EXPECT_EQ(got.reached, want.reached);
+    EXPECT_EQ(got.cost, want.cost);
+    EXPECT_EQ(got.expanded, want.expanded);
+  }
+}
+
+TEST(SearchScratchTest, ScratchGrowsFromASmallGraphToALargerOne) {
+  // A scratch sized by a small graph's queries must grow every stamp
+  // array, target stamps included, when a larger graph reuses it.
+  const CompactGraph small = MakeRandomGraph(59, 12, 2).Freeze();
+  const CompactGraph large = MakeRandomGraph(61, 400, 3).Freeze();
+  SearchScratch scratch;
+  (void)SearchToTargets(small, 0, {3, 11}, scratch);
+  Rng rng(67);
+  for (int trial = 0; trial < 50; ++trial) {
+    const NodeIndex source =
+        static_cast<NodeIndex>(rng.UniformInt(0, large.num_nodes() - 1));
+    std::vector<NodeIndex> targets;
+    for (int k = 0; k < 4; ++k) {
+      targets.push_back(
+          static_cast<NodeIndex>(rng.UniformInt(0, large.num_nodes() - 1)));
+    }
+    SearchScratch fresh;
+    const CsrSearch want = SearchToTargets(large, source, targets, fresh);
+    const CsrSearch got = SearchToTargets(large, source, targets, scratch);
+    ASSERT_EQ(got.found, want.found) << trial;
+    EXPECT_EQ(got.reached, want.reached) << trial;
+    EXPECT_EQ(got.cost, want.cost) << trial;
+    EXPECT_EQ(got.expanded, want.expanded) << trial;
+  }
+  EXPECT_GE(scratch.target_stamp.size(), large.num_nodes());
 }
 
 // ---------------------------------------------------------------------------
@@ -655,9 +734,8 @@ TEST(SnapshotTest, ProbeMatchesInspect) {
   EXPECT_FALSE(ProbeSnapshot(path).ok());
 }
 
-// The bucketed two-level IndexOf must stay exact on adversarial id
-// distributions: a dense cluster plus a far outlier collapses almost every
-// id into one interpolation bucket (the bisection fallback path).
+// IndexOf must stay exact on adversarial id distributions: a dense cluster
+// plus a far outlier, with runs of consecutive and evenly strided ids.
 TEST(CompactGraphTest, IndexOfHandlesSkewedIdDistributions) {
   Digraph g;
   std::vector<NodeId> ids;
@@ -684,7 +762,7 @@ TEST(CompactGraphTest, IndexOfHandlesSkewedIdDistributions) {
 
 // A moved-from graph must behave as an empty graph, not a half-alive one
 // (spans are trivially copyable, so the default move would have kept the
-// views while nulling the bucket array IndexOf dereferences).
+// views while releasing the lookup table IndexOf reads).
 TEST(CompactGraphTest, MovedFromGraphIsEmpty) {
   CompactGraph a = MakeRandomGraph(53, 30, 2).Freeze();
   const NodeId probe = a.IdOf(0);
@@ -700,8 +778,8 @@ TEST(CompactGraphTest, MovedFromGraphIsEmpty) {
   EXPECT_EQ(c.num_nodes(), 0u);
 }
 
-// A single-node graph (id range zero) must not divide by zero or probe
-// out of bucket bounds.
+// A single-node graph gets the smallest table (two slots): hits, and
+// misses that hash to either slot.
 TEST(CompactGraphTest, IndexOfSingleNode) {
   Digraph g;
   g.AddNode(42);
@@ -709,6 +787,136 @@ TEST(CompactGraphTest, IndexOfSingleNode) {
   EXPECT_EQ(frozen.IndexOf(42), 0u);
   EXPECT_EQ(frozen.IndexOf(41), kInvalidNodeIndex);
   EXPECT_EQ(frozen.IndexOf(43), kInvalidNodeIndex);
+}
+
+// The inverse of the id hash's multiplier mod 2^64 (Newton's iteration
+// doubles the correct low bits each step, from 3 for any odd number).
+constexpr uint64_t InverseOfOdd(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+// Ids crafted against the id hash: a snapshot may hold any strictly
+// ascending ids, and a served `load=` spec can name one. In the first set
+// every id hashes to one slot (one probe run as long as the graph); in the
+// second each id has its own home slot, but they are consecutive (one
+// unbroken run of full slots, which a miss must not walk). Built,
+// copy-loaded and mapped, every hit and miss must answer exactly, and in
+// about the time the same work takes on ids spaced like cell ids: a
+// quadratic build or a linear miss scan of 2^18 ids is thousands of times
+// slower, so the bound holds under sanitizers and a loaded machine alike.
+TEST(CompactGraphTest, IndexOfStaysFastOnIdsCraftedToCollide) {
+  constexpr uint64_t kInverse = InverseOfOdd(0x9E3779B97F4A7C15ULL);
+  static_assert(kInverse * 0x9E3779B97F4A7C15ULL == 1);
+  constexpr uint64_t kN = uint64_t{1} << 18;
+  constexpr int kShift = 64 - 19;  // a 2^19-slot table for 2^18 nodes
+  constexpr uint64_t kBase = uint64_t{5} << 60;
+  // Seconds to build, save and load a graph of ids[k] = id(k) and to look
+  // up every id and every miss(k) (never an id) on all three copies.
+  auto seconds = [&](auto id, auto miss) {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<NodeId> ids;
+    std::vector<NodeId> misses;
+    Digraph g;
+    for (uint64_t k = 0; k < kN; ++k) {
+      ids.push_back(id(k));
+      misses.push_back(miss(k));
+      g.AddNode(ids.back());
+    }
+    std::sort(ids.begin(), ids.end());
+    const CompactGraph owned = g.Freeze();
+    const std::string path = SnapshotPath("graph_crafted_ids.snap");
+    EXPECT_TRUE(SaveGraphSnapshot(owned, path).ok());
+    const CompactGraph copied = LoadGraphSnapshot(path).MoveValue();
+    const CompactGraph mapped = LoadGraphSnapshotMapped(path).MoveValue();
+    std::remove(path.c_str());
+    for (const CompactGraph* c : {&owned, &copied, &mapped}) {
+      EXPECT_EQ(c->num_nodes(), kN);
+      size_t wrong = 0;
+      for (uint64_t k = 0; k < kN && wrong < 10; ++k) {
+        const bool hit_ok = c->IndexOf(ids[k]) == static_cast<NodeIndex>(k);
+        const bool miss_ok = c->IndexOf(misses[k]) == kInvalidNodeIndex;
+        if (!hit_ok || !miss_ok) {
+          ADD_FAILURE() << "id " << ids[k] << " or miss " << misses[k];
+          ++wrong;
+        }
+      }
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  const double spaced = seconds([&](uint64_t k) { return kBase + 3 * k; },
+                                [&](uint64_t k) { return kBase + 3 * k + 1; });
+  for (const uint64_t stride : {uint64_t{1}, uint64_t{1} << kShift}) {
+    // A miss hashes to the same home slot as the id beside it.
+    const double crafted =
+        seconds([&](uint64_t k) { return kInverse * (kBase + k * stride); },
+                [&](uint64_t k) {
+                  return kInverse * (kBase + k * stride + kN);
+                });
+    EXPECT_LT(crafted, 10 * spaced + 0.5) << "stride " << stride;
+  }
+}
+
+// The id lookup over a HABIT graph's real packed cell ids (res<<60 | i<<30
+// | j: hex rows are runs of consecutive ids), on owned, copy-loaded and
+// mapped graphs. Every node id, every cell within three rings of a node
+// (hits and misses), the same axial cells at the neighbouring
+// resolutions, and the sentinel ids must answer as std::lower_bound over
+// the sorted id column does.
+TEST(CompactGraphTest, IndexOfMatchesLowerBoundOnBuiltCellGraphs) {
+  eval::ExperimentOptions options;
+  options.scale = 0.2;
+  auto exp = eval::PrepareExperiment("KIEL", options).MoveValue();
+  core::HabitConfig config;
+  config.resolution = 10;
+  const CompactGraph owned =
+      core::BuildGraphFromTrips(exp.train_trips, config).MoveValue().Freeze();
+  ASSERT_GT(owned.num_nodes(), 1000u);
+  const std::string path = SnapshotPath("graph_index_of.snap");
+  ASSERT_TRUE(SaveGraphSnapshot(owned, path).ok());
+  const CompactGraph copied = LoadGraphSnapshot(path).MoveValue();
+  const CompactGraph mapped = LoadGraphSnapshotMapped(path).MoveValue();
+  ASSERT_TRUE(mapped.is_mapped());
+
+  std::vector<NodeId> ids;
+  for (NodeIndex i = 0; i < owned.num_nodes(); ++i) {
+    ids.push_back(owned.IdOf(i));
+  }
+  std::vector<NodeId> queries = {0, 1, UINT64_MAX, hex::kInvalidCell,
+                                 ids.front() - 1, ids.back() + 1};
+  for (const NodeId id : ids) {
+    for (const hex::CellId c : hex::GridDisk(id, 3)) queries.push_back(c);
+    const hex::Axial axial = hex::CellToAxial(id);
+    queries.push_back(hex::AxialToCell(config.resolution - 1, axial));
+    queries.push_back(hex::AxialToCell(config.resolution + 1, axial));
+  }
+  size_t hits = 0;
+  std::vector<NodeIndex> want(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const auto it = std::lower_bound(ids.begin(), ids.end(), queries[q]);
+    want[q] = it != ids.end() && *it == queries[q]
+                  ? static_cast<NodeIndex>(it - ids.begin())
+                  : kInvalidNodeIndex;
+    hits += want[q] != kInvalidNodeIndex ? 1 : 0;
+  }
+  EXPECT_GT(hits, ids.size());              // ring cells that are nodes
+  EXPECT_GT(queries.size() - hits, hits);  // and plenty of misses
+  for (const CompactGraph* g : {&owned, &copied, &mapped}) {
+    size_t wrong = 0;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      if (g->IndexOf(queries[q]) != want[q]) {
+        ADD_FAILURE() << "IndexOf(" << queries[q] << ") on "
+                      << (g->is_mapped() ? "mapped" : "owned/copied");
+        if (++wrong == 10) break;
+      }
+    }
+  }
+  EXPECT_EQ(copied.SizeBytes(), owned.SizeBytes());
+  EXPECT_EQ(mapped.SizeBytes(), owned.SizeBytes());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,17 +3,24 @@
 // inverse projection), Section 3.4 simplification, and the framework facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/rng.h"
+#include "eval/harness.h"
 #include "geo/similarity.h"
 #include "graph/snapshot.h"
 #include "habit/framework.h"
 #include "habit/graph_builder.h"
 #include "habit/serialize.h"
 #include "hexgrid/hexgrid.h"
+#include "sim/gaps.h"
 
 namespace habit::core {
 namespace {
@@ -516,6 +523,328 @@ TEST(ImputerTest, SnapPrefersOwnCell) {
   auto snapped_off = imputer.SnapToNode(off_lane);
   ASSERT_TRUE(snapped_off.ok());
   EXPECT_TRUE(fw->graph().HasNode(snapped_off.value()));
+}
+
+// ---------------------------------------------------------------------------
+// The query written the plain way, as an oracle: a ring walk of its own,
+// IndexOf by std::lower_bound over the id column, one textbook haversine
+// per candidate, std::sort then truncate, seeds from a second haversine, a
+// binary-search target test, and projection by cell id. Imputer shares
+// none of that code (it snaps in one pass over a hashed lookup and stamps
+// its targets), yet must answer bit for bit alike.
+class OracleImputer {
+ public:
+  OracleImputer(const graph::CompactGraph& g, const HabitConfig& config)
+      : g_(g), config_(config) {
+    ids_.reserve(g.num_nodes());
+    for (graph::NodeIndex i = 0; i < g.num_nodes(); ++i) {
+      ids_.push_back(g.IdOf(i));
+    }
+  }
+
+  std::vector<hex::CellId> SnapCandidates(const geo::LatLng& p,
+                                          Imputer::SnapRole role,
+                                          size_t max_candidates) const {
+    std::vector<hex::CellId> found;
+    if (!p.IsValid()) return found;
+    const hex::CellId own = hex::LatLngToCell(p, config_.resolution);
+    if (own == hex::kInvalidCell) return found;
+    auto usable = [&](hex::CellId c) {
+      const graph::NodeIndex idx = IndexOf(c);
+      if (idx == graph::kInvalidNodeIndex) return false;
+      if (role == Imputer::SnapRole::kSource) return g_.OutDegree(idx) > 0;
+      if (role == Imputer::SnapRole::kTarget) return g_.InDegree(idx) > 0;
+      return true;
+    };
+    if (usable(own)) found.push_back(own);
+    int rings_after_hit = 0;
+    for (int k = 1; k <= config_.max_snap_ring; ++k) {
+      if (!found.empty() && ++rings_after_hit > 12) break;
+      if (found.size() >= max_candidates) break;
+      for (const hex::CellId c : Ring(own, k)) {
+        if (usable(c)) found.push_back(c);
+      }
+    }
+    std::vector<std::pair<double, hex::CellId>> by_distance;
+    for (const hex::CellId c : found) {
+      by_distance.emplace_back(Haversine(p, hex::CellToLatLng(c)), c);
+    }
+    std::sort(by_distance.begin(), by_distance.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    found.clear();
+    for (const auto& [dist, c] : by_distance) found.push_back(c);
+    if (found.size() > max_candidates) found.resize(max_candidates);
+    return found;
+  }
+
+  geo::LatLng ProjectCell(hex::CellId cell) const {
+    if (config_.projection == Projection::kDataMedian) {
+      const graph::NodeIndex idx = IndexOf(cell);
+      if (idx != graph::kInvalidNodeIndex && g_.MessageCount(idx) > 0) {
+        return g_.MedianPos(idx);
+      }
+    }
+    return hex::CellToLatLng(cell);
+  }
+
+  Result<Imputation> Impute(const geo::LatLng& a, const geo::LatLng& b,
+                            int64_t t_start, int64_t t_end) const {
+    if (!a.IsValid() || !b.IsValid()) {
+      return Status::InvalidArgument("invalid gap endpoint " + a.ToString() +
+                                     " -> " + b.ToString());
+    }
+    const auto src = SnapCandidates(a, Imputer::SnapRole::kSource, 48);
+    const auto dst = SnapCandidates(b, Imputer::SnapRole::kTarget, 48);
+    if (src.empty() || dst.empty()) {
+      return Status::Unreachable(
+          "gap endpoint could not be snapped to the transition graph");
+    }
+    for (const hex::CellId s : src) {
+      if (s == dst.front() && s == hex::LatLngToCell(b, config_.resolution)) {
+        Imputation result;
+        result.cells = {s};
+        result.path = {a, b};
+        result.timestamps = {t_start, t_end};
+        return result;
+      }
+    }
+    const double pitch =
+        hex::EdgeLengthMeters(config_.resolution) * 1.7320508;
+    std::vector<graph::SearchSeed> seeds;
+    for (const hex::CellId s : src) {
+      seeds.push_back({IndexOf(s), Haversine(a, hex::CellToLatLng(s)) / pitch});
+    }
+    std::vector<graph::NodeIndex> targets;
+    for (const hex::CellId d : dst) targets.push_back(IndexOf(d));
+    std::sort(targets.begin(), targets.end());
+    graph::SearchScratch scratch;
+    const graph::CsrSearch run = graph::RunSearch(
+        g_, seeds,
+        [&](graph::NodeIndex u) {
+          return std::binary_search(targets.begin(), targets.end(), u);
+        },
+        [](graph::NodeIndex) { return 0.0; }, scratch);
+    if (!run.found) {
+      return Status::Unreachable(
+          "no snap candidate pair is connected in the transition graph");
+    }
+    Imputation result;
+    result.expanded = run.expanded;
+    for (const graph::NodeIndex i :
+         graph::ReconstructPath(scratch, run.reached)) {
+      result.cells.push_back(g_.IdOf(i));
+    }
+    geo::Polyline line = {a};
+    for (const hex::CellId c : result.cells) {
+      const geo::LatLng p = ProjectCell(c);
+      if (Haversine(line.back(), p) > 1.0) line.push_back(p);
+    }
+    if (Haversine(line.back(), b) > 1.0 || line.size() == 1) {
+      line.push_back(b);
+    } else {
+      line.back() = b;
+    }
+    result.path = geo::RdpSimplify(line, config_.rdp_tolerance_m);
+    result.timestamps.assign(result.path.size(), t_start);
+    double total = 0;
+    for (size_t i = 1; i < result.path.size(); ++i) {
+      total += Haversine(result.path[i - 1], result.path[i]);
+    }
+    if (total > 0 && t_end > t_start) {
+      double acc = 0;
+      for (size_t i = 1; i < result.path.size(); ++i) {
+        acc += Haversine(result.path[i - 1], result.path[i]);
+        result.timestamps[i] =
+            t_start + static_cast<int64_t>(
+                          std::llround((t_end - t_start) * (acc / total)));
+      }
+    } else {
+      result.timestamps.back() = t_end;
+    }
+    return result;
+  }
+
+ private:
+  graph::NodeIndex IndexOf(hex::CellId c) const {
+    const auto it = std::lower_bound(ids_.begin(), ids_.end(), c);
+    if (it == ids_.end() || *it != c) return graph::kInvalidNodeIndex;
+    return static_cast<graph::NodeIndex>(it - ids_.begin());
+  }
+
+  // The cells at grid distance k >= 1: k steps in direction 4 to the
+  // starting corner, then the six sides in direction order.
+  static std::vector<hex::CellId> Ring(hex::CellId origin, int k) {
+    static constexpr int64_t kDirs[6][2] = {{1, 0},  {1, -1}, {0, -1},
+                                            {-1, 0}, {-1, 1}, {0, 1}};
+    const int res = hex::Resolution(origin);
+    hex::Axial cur = hex::CellToAxial(origin);
+    cur.i += kDirs[4][0] * k;
+    cur.j += kDirs[4][1] * k;
+    std::vector<hex::CellId> out;
+    for (const auto& dir : kDirs) {
+      for (int step = 0; step < k; ++step) {
+        const hex::CellId c = hex::AxialToCell(res, cur);
+        if (c != hex::kInvalidCell) out.push_back(c);
+        cur.i += dir[0];
+        cur.j += dir[1];
+      }
+    }
+    return out;
+  }
+
+  static double Haversine(const geo::LatLng& a, const geo::LatLng& b) {
+    const double lat1 = geo::DegToRad(a.lat);
+    const double lat2 = geo::DegToRad(b.lat);
+    const double dlat = lat2 - lat1;
+    const double dlng = geo::DegToRad(b.lng - a.lng);
+    const double s1 = std::sin(dlat / 2.0);
+    const double s2 = std::sin(dlng / 2.0);
+    const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
+    return 2.0 * geo::kEarthRadiusMeters *
+           std::asin(std::min(1.0, std::sqrt(h)));
+  }
+
+  const graph::CompactGraph& g_;
+  HabitConfig config_;
+  std::vector<graph::NodeId> ids_;
+};
+
+void ExpectSameImputation(const Result<Imputation>& want,
+                          const Result<Imputation>& got,
+                          const std::string& where) {
+  ASSERT_EQ(want.ok(), got.ok()) << where;
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().code(), got.status().code()) << where;
+    EXPECT_EQ(want.status().message(), got.status().message()) << where;
+    return;
+  }
+  const Imputation& w = want.value();
+  const Imputation& g = got.value();
+  ASSERT_EQ(w.path.size(), g.path.size()) << where;
+  for (size_t i = 0; i < w.path.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(w.path[i].lat),
+              std::bit_cast<uint64_t>(g.path[i].lat)) << where;
+    EXPECT_EQ(std::bit_cast<uint64_t>(w.path[i].lng),
+              std::bit_cast<uint64_t>(g.path[i].lng)) << where;
+  }
+  EXPECT_EQ(w.cells, g.cells) << where;
+  EXPECT_EQ(w.timestamps, g.timestamps) << where;
+  EXPECT_EQ(w.expanded, g.expanded) << where;
+}
+
+// Imputer::SnapCandidates and Imputer::Impute against the oracle on a
+// KIEL r=10 and a SAR r=9 model: ~1,000 gap endpoints, random points in
+// the data's bounding box, points beyond the snap rings (empty answers)
+// and exact cell centers (where candidate distances tie), for all three
+// snap roles and both projections.
+TEST(ImputerTest, MatchesThePlainQueryBitForBit) {
+  for (const auto& [dataset, resolution] :
+       {std::pair<const char*, int>{"KIEL", 10}, {"SAR", 9}}) {
+    SCOPED_TRACE(std::string(dataset) + " r=" + std::to_string(resolution));
+    eval::ExperimentOptions options;
+    options.scale = 0.4;
+    auto exp = eval::PrepareExperiment(dataset, options).MoveValue();
+    HabitConfig config;
+    config.resolution = resolution;
+    auto fw = HabitFramework::Build(exp.train_trips, config).MoveValue();
+    const graph::CompactGraph& g = fw->graph();
+
+    // Gap endpoints: several seeded gaps per test trip.
+    Rng rng(2026);
+    std::vector<std::pair<sim::GapCase, int>> gaps;
+    for (int pass = 0; pass < 100 && gaps.size() < 500; ++pass) {
+      for (const ais::Trip& trip : exp.test_trips) {
+        sim::GapOptions gap_options;
+        gap_options.gap_seconds = 600 * (1 + pass % 6);
+        if (auto gap = sim::InjectGap(trip, gap_options, &rng)) {
+          gaps.emplace_back(std::move(*gap), pass);
+        }
+        if (gaps.size() >= 500) break;
+      }
+    }
+    ASSERT_GE(gaps.size(), 400u) << exp.test_trips.size() << " test trips";
+
+    // Snap probes: every endpoint, random points in the bounding box, far
+    // points, and the centers of node cells and of their neighbours.
+    double lat_lo = 90, lat_hi = -90, lng_lo = 180, lng_hi = -180;
+    std::vector<geo::LatLng> probes;
+    for (const auto& [gap, pass] : gaps) {
+      for (const geo::LatLng& p : {gap.gap_start.pos, gap.gap_end.pos}) {
+        probes.push_back(p);
+        lat_lo = std::min(lat_lo, p.lat);
+        lat_hi = std::max(lat_hi, p.lat);
+        lng_lo = std::min(lng_lo, p.lng);
+        lng_hi = std::max(lng_hi, p.lng);
+      }
+    }
+    for (int i = 0; i < 300; ++i) {
+      probes.push_back({rng.Uniform(lat_lo, lat_hi),
+                        rng.Uniform(lng_lo, lng_hi)});
+    }
+    std::vector<geo::LatLng> far;
+    for (int i = 0; i < 10; ++i) {
+      far.push_back({lat_hi + 0.5 + 0.05 * i, lng_hi + 0.5});
+    }
+    probes.insert(probes.end(), far.begin(), far.end());
+    for (graph::NodeIndex i = 0; i < g.num_nodes(); i += 193) {
+      probes.push_back(hex::CellToLatLng(g.IdOf(i)));
+      probes.push_back(hex::CellToLatLng(hex::Neighbors(g.IdOf(i))[i % 6]));
+    }
+
+    for (const Projection projection :
+         {Projection::kDataMedian, Projection::kCellCenter}) {
+      HabitConfig variant = config;
+      variant.projection = projection;
+      const Imputer imputer(&g, variant);
+      const OracleImputer oracle(g, variant);
+
+      if (projection == Projection::kDataMedian) {
+        size_t empty = 0;
+        for (const geo::LatLng& p : probes) {
+          for (const auto role :
+               {Imputer::SnapRole::kAny, Imputer::SnapRole::kSource,
+                Imputer::SnapRole::kTarget}) {
+            for (const size_t max : {size_t{48}, size_t{1}}) {
+              const auto want = oracle.SnapCandidates(p, role, max);
+              ASSERT_EQ(imputer.SnapCandidates(p, role, max), want)
+                  << p.ToString() << " role " << static_cast<int>(role)
+                  << " max " << max;
+              empty += want.empty() ? 1 : 0;
+            }
+          }
+        }
+        EXPECT_GE(empty, far.size() * 6);  // the far points snap to nothing
+        for (const geo::LatLng& p : probes) {
+          ASSERT_EQ(imputer.SnapToNode(p).ok(),
+                    !oracle.SnapCandidates(p, Imputer::SnapRole::kAny, 1)
+                         .empty());
+        }
+      }
+
+      graph::SearchScratch scratch;  // reused, as ImputeBatch does
+      size_t ok = 0;
+      for (size_t i = 0; i < gaps.size(); ++i) {
+        const sim::GapCase& gap = gaps[i].first;
+        const auto want = oracle.Impute(gap.gap_start.pos, gap.gap_end.pos,
+                                        gap.gap_start.ts, gap.gap_end.ts);
+        ExpectSameImputation(
+            want,
+            imputer.Impute(gap.gap_start.pos, gap.gap_end.pos,
+                           gap.gap_start.ts, gap.gap_end.ts, &scratch),
+            "gap " + std::to_string(i));
+        ok += want.ok() ? 1 : 0;
+      }
+      EXPECT_GE(ok, gaps.size() / 2);
+      if (projection != Projection::kDataMedian) continue;
+      // Centers, random and far points as endpoints, paired off.
+      for (size_t i = 2 * gaps.size(); i + 1 < probes.size(); i += 2) {
+        ExpectSameImputation(
+            oracle.Impute(probes[i], probes[i + 1], 0, 600),
+            imputer.Impute(probes[i], probes[i + 1], 0, 600, &scratch),
+            "probe pair " + std::to_string(i));
+      }
+    }
+  }
 }
 
 }  // namespace
