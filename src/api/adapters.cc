@@ -61,8 +61,8 @@ const std::vector<std::string> kHabitKeys = {
 // argument may be empty), "save=<path>" writes one after the build. Both
 // may be given to convert a freshly trained model into an artifact.
 // "map=1" serves the snapshot zero-copy from an mmap'd view instead of
-// heap copies (O(page-in) cold start); it is a serving parameter and only
-// meaningful with load=.
+// heap copies (cold start is still an O(nodes + edges) scan); it is a
+// serving parameter and only meaningful with load=.
 const char kSaveKey[] = "save";
 const char kLoadKey[] = "load";
 const char kMapKey[] = "map";
@@ -387,7 +387,7 @@ Result<std::unique_ptr<ImputationModel>> HabitModel::Make(
   Stopwatch build_timer;
   std::unique_ptr<core::HabitFramework> framework;
   if (!load_path.empty()) {
-    // O(read) cold start — O(page-in) with map=1: the snapshot is
+    // O(read) cold start — no copy with map=1: the snapshot is
     // self-describing (build config + frozen CSR arrays), so build
     // parameters alongside load= are rejected — a spec must never serve a
     // graph under a mismatched resolution or cost policy. threads=, map=,

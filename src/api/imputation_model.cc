@@ -41,6 +41,14 @@ Status ValidateRequest(const ImputeRequest& request) {
                                    request.gap_start.ToString() + " -> " +
                                    request.gap_end.ToString());
   }
+  for (const int64_t t : {request.t_start, request.t_end}) {
+    if (t < -kMaxAbsTimestamp || t > kMaxAbsTimestamp) {
+      return Status::InvalidArgument(
+          "gap timestamp " + std::to_string(t) +
+          " is outside [-2^53, 2^53] (|t| <= " +
+          std::to_string(kMaxAbsTimestamp) + ")");
+    }
+  }
   if (request.t_end < request.t_start) {
     return Status::InvalidArgument(
         "gap time span is negative (t_start=" +

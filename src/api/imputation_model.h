@@ -50,12 +50,20 @@ struct ImputeRequest {
   std::optional<int64_t> vessel_id;
 };
 
+/// Largest |t_start| and |t_end| a request may carry: 2^53, the largest
+/// integer a JSON number holds exactly. In-process, JSON and binary callers
+/// share this one limit, and with it a gap's t_end - t_start never
+/// overflows int64_t.
+inline constexpr int64_t kMaxAbsTimestamp = int64_t{1} << 53;
+
 /// \brief Validates a request before it reaches any model.
 ///
 /// kInvalidArgument when either endpoint is non-finite or outside valid
-/// geographic bounds, or when the time span is negative (t_end < t_start;
-/// an empty span t_end == t_start is legal — such requests carry no time
-/// model and get no interpolated timestamps). Every adapter's Impute /
+/// geographic bounds, when a timestamp lies outside
+/// [-kMaxAbsTimestamp, kMaxAbsTimestamp], or when the time span is
+/// negative (t_end < t_start; an empty span t_end == t_start is legal —
+/// such requests carry no time model and get no interpolated timestamps).
+/// Every adapter's Impute /
 /// ImputeBatch applies this uniformly, and the serving frontend rejects
 /// invalid requests before resolving a model, so garbage input never
 /// reaches H3 indexing or timestamp interpolation — and never triggers a

@@ -103,8 +103,9 @@ void CompactGraph::BuildIdLookup() {
   id_table_ = std::move(table);
 }
 
-CompactGraph CompactGraph::FromOwned(Arrays arrays) {
+CompactGraph CompactGraph::FromOwned(Arrays arrays, WeightRange weights) {
   CompactGraph g;
+  g.weight_range_ = weights;
   auto owned = std::make_shared<const Arrays>(std::move(arrays));
   g.node_ids_ = owned->node_ids;
   g.row_offsets_ = owned->row_offsets;

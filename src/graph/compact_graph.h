@@ -18,7 +18,9 @@
 // CompactGraph is cheap (views + refcounts) and views never dangle.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -57,6 +59,20 @@ struct EdgeAttrs {
   double weight = 1.0;     ///< traversal cost used by shortest-path search
   int64_t transitions = 0;  ///< approx distinct trips making this transition
   int64_t grid_distance = 0;  ///< hex grid distance between the two cells
+};
+
+/// \brief Smallest and largest edge weight of a graph. The search's bucket
+/// queue (graph/search.h) sizes its priority bands from them. Computed
+/// where every weight is already touched (Digraph::Freeze, the snapshot
+/// loaders' validation scan) and never persisted. A graph without edges
+/// reads {+inf, 0}.
+struct WeightRange {
+  double min = std::numeric_limits<double>::infinity();
+  double max = 0.0;
+  void Add(double w) {
+    min = std::min(min, w);
+    max = std::max(max, w);
+  }
 };
 
 /// Upper bound on landmarks per graph. Columns cost 16 bytes/node each, so
@@ -161,6 +177,9 @@ class CompactGraph {
     return edge_weight_.subspan(row_offsets_[u],
                                 row_offsets_[u + 1] - row_offsets_[u]);
   }
+
+  /// Smallest and largest weight over all edges.
+  const WeightRange& weight_range() const { return weight_range_; }
 
   uint32_t OutDegree(NodeIndex u) const {
     return row_offsets_[u + 1] - row_offsets_[u];
@@ -269,8 +288,9 @@ class CompactGraph {
   };
 
   /// Adopts owned arrays: views point into `arrays`, which is shared so
-  /// copies of the graph alias one backing.
-  static CompactGraph FromOwned(Arrays arrays);
+  /// copies of the graph alias one backing. `weights` is the range of
+  /// `arrays.edge_weight`, which the caller has just filled or scanned.
+  static CompactGraph FromOwned(Arrays arrays, WeightRange weights);
 
   /// Binds views into `region` (set by the mapped snapshot loader, which
   /// validated alignment and bounds). The region is shared so views stay
@@ -298,6 +318,7 @@ class CompactGraph {
     id_slots_ = {};
     id_shift_ = 0;
     id_max_probe_ = 0;
+    weight_range_ = {};
     node_ids_ = {};
     row_offsets_ = {};
     edge_dst_ = {};
@@ -335,6 +356,7 @@ class CompactGraph {
   std::span<const NodeIndex> id_slots_;
   int id_shift_ = 0;
   int id_max_probe_ = 0;
+  WeightRange weight_range_;
 
   // The column views every accessor reads through; they alias owned_ or
   // mapped_ (or are empty on a default-constructed graph).

@@ -84,6 +84,7 @@ CompactGraph Digraph::Freeze(bool keep_attrs) const {
   // Pass 2: fill edge rows, then sort each row by target index so lookups
   // can bisect and scans run in index order.
   const size_t m = a.row_offsets[n];
+  WeightRange weights;
   a.edge_dst.resize(m);
   a.edge_weight.resize(m);
   if (keep_attrs) {
@@ -106,6 +107,7 @@ CompactGraph Digraph::Freeze(bool keep_attrs) const {
     for (const Out& out : row) {
       a.edge_dst[e] = out.dst;
       a.edge_weight[e] = out.attrs->weight;
+      weights.Add(out.attrs->weight);
       if (keep_attrs) {
         a.edge_transitions[e] = out.attrs->transitions;
         a.edge_grid_distance[e] = out.attrs->grid_distance;
@@ -132,7 +134,7 @@ CompactGraph Digraph::Freeze(bool keep_attrs) const {
       a.median_cog[u] = attrs.median_cog;
     }
   }
-  return CompactGraph::FromOwned(std::move(a));
+  return CompactGraph::FromOwned(std::move(a), weights);
 }
 
 size_t Digraph::SerializedSizeBytes() const {

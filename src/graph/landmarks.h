@@ -38,14 +38,14 @@
 //   2. The replay then runs the baseline zero-heuristic search but
 //      discards, at record time, every candidate entry with
 //      dist(u) + bound(u) > cap + slack — out-of-corridor nodes never
-//      even enter the heap.
+//      even enter the queue.
 //
 // The pruned run reproduces the baseline's result exactly: every node on
 // an optimal path satisfies dist(u) + bound(u) <= C <= cap, hence
 // survives;
 // surviving entries settle in the baseline's order because the settle
 // sequence is a function of the (priority, node) entry set alone (the
-// heap pops equal priorities by node index, see RunSearchPruned), and
+// queue pops equal priorities by node index, see RunSearchPruned), and
 // every entry that determines the baseline's returned parent chain is in
 // the corridor. The slack term absorbs the ulp-level gap between the
 // landmark columns' cost sums and the search's own left-to-right sums.

@@ -1,8 +1,10 @@
 // MmapRegion: RAII ownership of one read-only memory-mapped file. The
 // mapped bytes back the zero-copy snapshot serving path — a CompactGraph
 // loaded with map=1 holds span views directly into the region instead of
-// heap copies of the CSR arrays, so cold start is O(page-in) and the
-// kernel page cache is the only resident copy (shared across processes
+// heap copies of the CSR arrays, so cold start copies nothing (it is still
+// O(nodes + edges): the id table and the validation scans read every node
+// id and edge weight) and the kernel page cache is the only resident copy
+// (shared across processes
 // serving the same artifact, the way SplinterDB serves its on-disk pages).
 //
 // The region is immutable (PROT_READ) and private; it stays alive as long

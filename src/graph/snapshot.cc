@@ -276,10 +276,12 @@ Result<GraphCols> ReadGraphCols(SnapshotReader& reader) {
 // file holding an impossible graph (hand-edited, or written by a buggy
 // producer) on both paths — and they must pass before the id-lookup
 // table is built, which assumes distinct ids. Weights must be finite and
-// non-negative: a NaN would break the search heap's strict weak ordering,
+// non-negative: a NaN would break the search queue's strict weak ordering,
 // and a negative cost would make settled distances wrong. The landmark
-// columns get the same treatment (ValidateLandmarks).
-Status ValidateGraphCols(const GraphCols& c) {
+// columns get the same treatment (ValidateLandmarks). The weight scan also
+// records the weights' range into `weights`, so a mapped load touches each
+// weight once.
+Status ValidateGraphCols(const GraphCols& c, WeightRange* weights) {
   const size_t n = c.node_ids.size();
   const size_t m = c.edge_dst.size();
   if (c.row_offsets.size() != n + 1 || c.row_offsets.front() != 0 ||
@@ -309,12 +311,15 @@ Status ValidateGraphCols(const GraphCols& c) {
     return Status::IoError("graph snapshot: degree arrays inconsistent "
                            "with the edge count");
   }
+  WeightRange range;  // a local, so the loop keeps it in registers
   for (const double w : c.edge_weight) {
     if (!std::isfinite(w) || w < 0.0) {
       return Status::IoError("graph snapshot: edge weight is negative or "
                              "not finite");
     }
+    range.Add(w);
   }
+  *weights = range;
   if (c.has_attrs &&
       (c.edge_transitions.size() != m || c.edge_grid_distance.size() != m ||
        c.median_pos.size() != n || c.center_pos.size() != n ||
@@ -343,7 +348,8 @@ std::vector<T> Own(std::span<const T> view) {
 
 Result<CompactGraph> ReadGraphSection(SnapshotReader& reader) {
   HABIT_ASSIGN_OR_RETURN(const GraphCols c, ReadGraphCols(reader));
-  HABIT_RETURN_NOT_OK(ValidateGraphCols(c));
+  WeightRange weights;
+  HABIT_RETURN_NOT_OK(ValidateGraphCols(c, &weights));
   if (!reader.zero_copy()) {
     CompactGraph g = CompactGraph::FromOwned({
         .node_ids = Own(c.node_ids),
@@ -359,7 +365,7 @@ Result<CompactGraph> ReadGraphSection(SnapshotReader& reader) {
         .distinct_vessels = Own(c.distinct_vessels),
         .median_sog = Own(c.median_sog),
         .median_cog = Own(c.median_cog),
-    });
+    }, weights);
     if (!c.landmark_nodes.empty()) {
       HABIT_RETURN_NOT_OK(g.AttachLandmarks({Own(c.landmark_nodes),
                                              Own(c.landmark_from),
@@ -368,6 +374,7 @@ Result<CompactGraph> ReadGraphSection(SnapshotReader& reader) {
     return g;
   }
   CompactGraph g;
+  g.weight_range_ = weights;
   g.node_ids_ = c.node_ids;
   g.row_offsets_ = c.row_offsets;
   g.edge_dst_ = c.edge_dst;

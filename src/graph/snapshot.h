@@ -1,6 +1,7 @@
 // Binary model snapshots: a versioned, checksummed container format that
 // turns a trained model into a durable artifact loadable in O(read) — or
-// servable in place with zero copies (O(page-in)).
+// servable in place with zero copies (O(nodes + edges): validation and the
+// id table still scan every node and edge).
 //
 // Layout of every snapshot file:
 //

@@ -50,7 +50,8 @@ Status SaveModelSnapshot(const HabitFramework& fw, const std::string& path);
 /// one validated bulk read, no Digraph rebuild, no re-freeze. Imputation
 /// output is bit-identical to the framework that was saved. With `mapped`
 /// true the CSR arrays are served in place from the mmap'd file
-/// (O(page-in) cold start, no heap copy, no checksum recompute) — the
+/// (no heap copy, no checksum recompute; the id table and the validation
+/// scans still make cold start O(nodes + edges)) — the
 /// registry exposes this as "habit:load=...,map=1". Both paths refuse a
 /// snap ring radius outside [0, kMaxSnapRing] and run the same structural
 /// validation of the graph section.

@@ -168,6 +168,46 @@ TEST(ApiTest, ValidateRequestContract) {
   EXPECT_EQ(ValidateRequest(bad_lng).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ApiTest, TimestampsPastTwoToThe53AreRefusedPerRequest) {
+  // |t| is bounded by 2^53 (what a JSON number holds exactly) for every
+  // caller, so t_end - t_start cannot overflow int64_t when timestamps are
+  // interpolated. The bounds themselves are legal and interpolate cleanly.
+  ImputeRequest widest = LaneRequest();
+  widest.t_start = -kMaxAbsTimestamp;
+  widest.t_end = kMaxAbsTimestamp;
+  EXPECT_TRUE(ValidateRequest(widest).ok());
+  ImputeRequest extreme = LaneRequest();
+  extreme.t_start = std::numeric_limits<int64_t>::min();
+  extreme.t_end = std::numeric_limits<int64_t>::max();
+  ImputeRequest late_end = LaneRequest();
+  late_end.t_end = kMaxAbsTimestamp + 1;
+  ImputeRequest early_start = LaneRequest();
+  early_start.t_start = -kMaxAbsTimestamp - 1;
+  for (const ImputeRequest& bad : {extreme, late_end, early_start}) {
+    const Status status = ValidateRequest(bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("2^53"), std::string::npos)
+        << status.ToString();
+  }
+
+  // In a batch, the bad request gets its own error and its neighbours are
+  // answered.
+  auto model = MakeModel("habit", MakeTrips()).MoveValue();
+  const std::vector<ImputeRequest> batch = {extreme, LaneRequest(), widest};
+  const auto responses = model->ImputeBatch(batch);
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[0].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(responses[0].status().message().find("2^53"), std::string::npos);
+  for (const size_t i : {size_t{1}, size_t{2}}) {
+    ASSERT_TRUE(responses[i].ok()) << responses[i].status().ToString();
+    const std::vector<int64_t>& ts = responses[i].value().timestamps;
+    ASSERT_GE(ts.size(), 2u);
+    EXPECT_EQ(ts.front(), batch[i].t_start);
+    EXPECT_EQ(ts.back(), batch[i].t_end);
+    EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
+  }
+}
+
 TEST(ApiTest, InvalidRequestsRejectedConsistently) {
   const auto trips = MakeTrips();
   ImputeRequest bad_coords = LaneRequest();

@@ -1,12 +1,14 @@
 // CSR equivalence suite: the frozen CompactGraph must agree with the
 // mutable Digraph it was frozen from — per-node/per-edge attributes, degree
 // arrays, shortest paths against a test-local reference Dijkstra, component
-// structure, and size accounting — and search scratch reuse across many
-// queries must never leak state between generations.
+// structure, and size accounting — search scratch reuse across many
+// queries must never leak state between generations, and the search's
+// bucket queue must settle exactly as the binary heap it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +16,8 @@
 #include <map>
 #include <queue>
 #include <set>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -386,6 +390,467 @@ TEST(SearchScratchTest, ScratchGrowsFromASmallGraphToALargerOne) {
     EXPECT_EQ(got.expanded, want.expanded) << trial;
   }
   EXPECT_GE(scratch.target_stamp.size(), large.num_nodes());
+}
+
+// ---------------------------------------------------------------------------
+// The bucket queue against the binary heap it replaced. HeapSearchPruned is
+// RunSearchPruned as it stood with a lazy binary heap ordered by (priority,
+// node), copied verbatim. Every search must settle the same nodes in the
+// same order, return the same result, and leave the same dist and parent
+// on every settled node.
+
+template <typename IsTargetFn, typename HeuristicFn, typename PruneFn>
+CsrSearch HeapSearchPruned(const CompactGraph& g,
+                           std::span<const SearchSeed> seeds,
+                           IsTargetFn&& is_target, HeuristicFn&& h,
+                           PruneFn&& prune, SearchScratch& scratch) {
+  scratch.Prepare(g.num_nodes());
+  auto& heap = scratch.heap;
+  const auto heap_greater = [](const SearchScratch::HeapEntry& a,
+                               const SearchScratch::HeapEntry& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    return a.node > b.node;
+  };
+  auto heap_push = [&](double priority, NodeIndex node) {
+    heap.push_back({priority, node});
+    std::push_heap(heap.begin(), heap.end(), heap_greater);
+  };
+
+  for (const SearchSeed& seed : seeds) {
+    if (seed.node == kInvalidNodeIndex) continue;
+    if (!scratch.Visited(seed.node) || seed.cost < scratch.dist[seed.node]) {
+      if (prune(seed.node, seed.cost)) continue;
+      scratch.MarkVisited(seed.node);
+      scratch.dist[seed.node] = seed.cost;
+      scratch.parent[seed.node] = kInvalidNodeIndex;
+      heap_push(seed.cost + h(seed.node), seed.node);
+    }
+  }
+
+  CsrSearch result;
+  while (!heap.empty()) {
+    const NodeIndex u = heap.front().node;
+    std::pop_heap(heap.begin(), heap.end(), heap_greater);
+    heap.pop_back();
+    if (scratch.Settled(u)) continue;
+    scratch.MarkSettled(u);
+    ++result.expanded;
+    if (is_target(u)) {
+      result.found = true;
+      result.reached = u;
+      result.cost = scratch.dist[u];
+      return result;
+    }
+    const double du = scratch.dist[u];
+    const auto neighbors = g.OutNeighbors(u);
+    const auto weights = g.OutWeights(u);
+    for (size_t e = 0; e < neighbors.size(); ++e) {
+      const NodeIndex v = neighbors[e];
+      if (scratch.Settled(v)) continue;
+      const double cand = du + weights[e];
+      if (!scratch.Visited(v) || cand < scratch.dist[v]) {
+        if (prune(v, cand)) continue;
+        scratch.MarkVisited(v);
+        scratch.dist[v] = cand;
+        scratch.parent[v] = u;
+        heap_push(cand + h(v), v);
+      }
+    }
+  }
+  return result;
+}
+
+// Out-edges of each node as (target, weight), in CSR order.
+using CsrRows = std::vector<std::vector<std::pair<NodeIndex, double>>>;
+
+CsrRows RowsOf(const CompactGraph& g) {
+  CsrRows rows(g.num_nodes());
+  for (NodeIndex u = 0; u < g.num_nodes(); ++u) {
+    const auto nbrs = g.OutNeighbors(u);
+    const auto weights = g.OutWeights(u);
+    for (size_t e = 0; e < nbrs.size(); ++e) {
+      rows[u].push_back({nbrs[e], weights[e]});
+    }
+  }
+  return rows;
+}
+
+// Writes `rows` as a bare graph snapshot (no attributes, no landmarks) and
+// loads it back, copied or mapped: the way to a CompactGraph with
+// self-loops and parallel edges, which a Digraph cannot hold.
+CompactGraph LoadRows(const CsrRows& rows, bool mapped) {
+  const size_t n = rows.size();
+  std::vector<NodeId> ids(n);
+  std::vector<uint32_t> offsets(n + 1, 0);
+  std::vector<NodeIndex> dst;
+  std::vector<double> weight;
+  std::vector<uint32_t> in_degree(n, 0);
+  for (size_t u = 0; u < n; ++u) {
+    ids[u] = 1000 + 7 * u;
+    for (const auto& [v, w] : rows[u]) {
+      dst.push_back(v);
+      weight.push_back(w);
+      ++in_degree[v];
+    }
+    offsets[u + 1] = static_cast<uint32_t>(dst.size());
+  }
+  SnapshotWriter writer;
+  writer.Array(ids);
+  writer.Array(offsets);
+  writer.Array(dst);
+  writer.Array(weight);
+  writer.Array(in_degree);
+  writer.U32(0);  // no attribute columns
+  writer.U32(0);  // no landmarks
+  writer.Array(std::vector<NodeIndex>{});
+  writer.Array(std::vector<double>{});
+  writer.Array(std::vector<double>{});
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "band_queue_rows.snap")
+          .string();
+  EXPECT_TRUE(writer.WriteToFile(path, SnapshotKind::kCompactGraph).ok());
+  auto g = mapped ? LoadGraphSnapshotMapped(path) : LoadGraphSnapshot(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return g.ok() ? g.MoveValue() : CompactGraph();
+}
+
+enum class WeightKind {
+  kSmallInts,   // 1, 2 or 3: equal priorities in every band
+  kNearOne,     // (1, 1.5], HABIT's default cost per grid step
+  kBelowOne,    // (0.05, 0.8], like cost=invfreq
+  kWithZeros,   // a third zero, the rest (0.05, 0.8]
+  kSpread,      // log-uniform over 1e-6 .. 1e6
+  kEqual,       // every edge 0.7
+};
+
+double DrawWeight(WeightKind kind, Rng& rng) {
+  switch (kind) {
+    case WeightKind::kSmallInts:
+      return static_cast<double>(rng.UniformInt(1, 3));
+    case WeightKind::kNearOne:
+      return 1.5 - rng.Uniform(0.0, 0.5);
+    case WeightKind::kBelowOne:
+      return 0.8 - rng.Uniform(0.0, 0.75);
+    case WeightKind::kWithZeros:
+      return rng.Bernoulli(1.0 / 3.0) ? 0.0 : 0.8 - rng.Uniform(0.0, 0.75);
+    case WeightKind::kSpread:
+      return std::exp(rng.Uniform(std::log(1e-6), std::log(1e6)));
+    case WeightKind::kEqual:
+      return 0.7;
+  }
+  return 1.0;
+}
+
+// Out-degree 0-8. Most edges stay near their source, so searches run long
+// paths; some jump anywhere, some are self-loops or repeat an earlier
+// edge's target.
+CsrRows RandomRows(Rng& rng, size_t n, WeightKind kind) {
+  CsrRows rows(n);
+  for (size_t u = 0; u < n; ++u) {
+    const int64_t degree = rng.UniformInt(0, 8);
+    for (int64_t k = 0; k < degree; ++k) {
+      const double pick = rng.Uniform(0.0, 1.0);
+      size_t v;
+      if (pick < 0.05) {
+        v = u;
+      } else if (pick < 0.15 && !rows[u].empty()) {
+        v = rows[u][rng.UniformInt(0, rows[u].size() - 1)].first;
+      } else if (pick < 0.8) {
+        v = (u + rng.UniformInt(1, 12)) % n;
+      } else {
+        v = rng.UniformInt(0, n - 1);
+      }
+      rows[u].push_back({static_cast<NodeIndex>(v), DrawWeight(kind, rng)});
+    }
+  }
+  return rows;
+}
+
+// Exact cost from every node to the nearest of `sinks` (+inf when none is
+// reachable): a consistent heuristic toward them.
+std::vector<double> CostToSinks(const CsrRows& rows,
+                                const std::vector<NodeIndex>& sinks) {
+  const size_t n = rows.size();
+  std::vector<std::vector<std::pair<NodeIndex, double>>> reverse(n);
+  for (size_t u = 0; u < n; ++u) {
+    for (const auto& [v, w] : rows[u]) {
+      reverse[v].push_back({static_cast<NodeIndex>(u), w});
+    }
+  }
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  using Entry = std::pair<double, NodeIndex>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+  for (const NodeIndex s : sinks) {
+    dist[s] = 0.0;
+    queue.push({0.0, s});
+  }
+  while (!queue.empty()) {
+    const auto [d, v] = queue.top();
+    queue.pop();
+    if (d > dist[v]) continue;
+    for (const auto& [u, w] : reverse[v]) {
+      if (d + w < dist[u]) {
+        dist[u] = d + w;
+        queue.push({dist[u], u});
+      }
+    }
+  }
+  return dist;
+}
+
+// One query: seeds, a target mask, a heuristic and a monotone prune
+// (`du > cap[u]`; +inf everywhere prunes nothing).
+struct OracleQuery {
+  std::vector<SearchSeed> seeds;
+  std::vector<char> target;
+  const std::vector<double>* h = nullptr;
+  std::vector<double> cap;
+  std::string what;
+};
+
+// The five heuristics a query draws from, over one graph.
+struct Heuristics {
+  std::vector<double> zero, consistent, doubled, some_inf, noisy;
+  explicit Heuristics(const CsrRows& rows, Rng& rng, double max_w)
+      : zero(rows.size(), 0.0) {
+    const size_t n = rows.size();
+    std::vector<NodeIndex> sinks;
+    for (int k = 0; k < 3; ++k) {
+      sinks.push_back(static_cast<NodeIndex>(rng.UniformInt(0, n - 1)));
+    }
+    consistent = CostToSinks(rows, sinks);
+    doubled = consistent;
+    for (double& x : doubled) x *= 2.0;
+    some_inf.assign(n, 0.0);
+    noisy.assign(n, 0.0);
+    for (size_t u = 0; u < n; ++u) {
+      if (rng.Bernoulli(0.1)) {
+        some_inf[u] = std::numeric_limits<double>::infinity();
+      }
+      noisy[u] = rng.Uniform(0.0, 3.0 * max_w);
+    }
+  }
+};
+
+OracleQuery RandomQuery(Rng& rng, const CompactGraph& g, const Heuristics& hs,
+                        double max_w) {
+  const size_t n = g.num_nodes();
+  OracleQuery q;
+  // Seeds drawn from a pool smaller than their count repeat nodes.
+  const int64_t num_seeds = rng.UniformInt(1, 6);
+  const int64_t pool = rng.UniformInt(1, num_seeds);
+  const NodeIndex first = static_cast<NodeIndex>(rng.UniformInt(0, n - 1));
+  for (int64_t k = 0; k < num_seeds; ++k) {
+    const NodeIndex node =
+        static_cast<NodeIndex>((first + rng.UniformInt(0, pool - 1)) % n);
+    const double cost = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.0, 50.0);
+    q.seeds.push_back({rng.Bernoulli(0.05) ? kInvalidNodeIndex : node, cost});
+  }
+  q.target.assign(n, 0);
+  const int64_t targets = rng.UniformInt(0, 2);  // none, one, many
+  const size_t count = targets == 0 ? 0 : targets == 1 ? 1 : n / 40 + 2;
+  for (size_t k = 0; k < count; ++k) q.target[rng.UniformInt(0, n - 1)] = 1;
+  const int64_t h = rng.UniformInt(0, 4);
+  q.h = h == 0   ? &hs.zero
+        : h == 1 ? &hs.consistent
+        : h == 2 ? &hs.doubled
+        : h == 3 ? &hs.some_inf
+                 : &hs.noisy;
+  const bool prune = rng.Bernoulli(0.3);
+  q.cap.assign(n, std::numeric_limits<double>::infinity());
+  if (prune) {
+    for (double& c : q.cap) {
+      if (rng.Bernoulli(0.3)) c = rng.Uniform(0.0, 40.0 * max_w + 50.0);
+    }
+  }
+  q.what = "seeds " + std::to_string(num_seeds) + ", targets " +
+           std::to_string(count) + ", heuristic " + std::to_string(h) +
+           (prune ? ", pruned" : "");
+  return q;
+}
+
+struct SearchTrace {
+  CsrSearch result;
+  std::vector<NodeIndex> settled;  ///< in settle order
+  std::vector<double> dist;        ///< of each settled node
+  std::vector<NodeIndex> parent;   ///< of each settled node
+};
+
+template <typename SearchFn>
+SearchTrace Traced(SearchFn&& search, const CompactGraph& g,
+                   const OracleQuery& q, SearchScratch& scratch) {
+  SearchTrace t;
+  const auto is_target = [&](NodeIndex u) {
+    t.settled.push_back(u);
+    return q.target[u] != 0;
+  };
+  const auto h = [&](NodeIndex u) { return (*q.h)[u]; };
+  const auto prune = [&](NodeIndex u, double du) { return du > q.cap[u]; };
+  t.result = search(g, std::span<const SearchSeed>(q.seeds), is_target, h,
+                    prune, scratch);
+  for (const NodeIndex u : t.settled) {
+    t.dist.push_back(scratch.dist[u]);
+    t.parent.push_back(scratch.parent[u]);
+  }
+  return t;
+}
+
+// Empty when the two traces agree, else what differs first.
+std::string TraceDiff(const SearchTrace& want, const SearchTrace& got) {
+  if (got.settled != want.settled) {
+    size_t i = 0;
+    while (i < got.settled.size() && i < want.settled.size() &&
+           got.settled[i] == want.settled[i]) {
+      ++i;
+    }
+    return "settle sequences part at position " + std::to_string(i) +
+           " of " + std::to_string(want.settled.size()) + " (got " +
+           std::to_string(got.settled.size()) + ")";
+  }
+  if (got.result.found != want.result.found ||
+      got.result.reached != want.result.reached ||
+      got.result.cost != want.result.cost ||
+      got.result.expanded != want.result.expanded) {
+    return "results differ";
+  }
+  if (got.dist != want.dist) return "dist differs";
+  if (got.parent != want.parent) return "parent differs";
+  return "";
+}
+
+const auto kBandQueueSearch = [](const CompactGraph& g,
+                                 std::span<const SearchSeed> seeds,
+                                 auto& is_target, auto& h, auto& prune,
+                                 SearchScratch& scratch) {
+  return RunSearchPruned(g, seeds, is_target, h, prune, scratch);
+};
+const auto kHeapSearch = [](const CompactGraph& g,
+                            std::span<const SearchSeed> seeds,
+                            auto& is_target, auto& h, auto& prune,
+                            SearchScratch& scratch) {
+  return HeapSearchPruned(g, seeds, is_target, h, prune, scratch);
+};
+
+// Runs `queries` random queries on `g` through both queues; the queue under
+// test reuses `scratch`. Returns false at the first disagreement.
+bool MatchesTheHeap(const CompactGraph& g, const CsrRows& rows, Rng& rng,
+                    int queries, SearchScratch& scratch,
+                    const std::string& graph) {
+  const double max_w = std::max(g.weight_range().max, 1.0);
+  const Heuristics hs(rows, rng, max_w);
+  SearchScratch reference;
+  size_t settled = 0;
+  for (int i = 0; i < queries; ++i) {
+    const OracleQuery q = RandomQuery(rng, g, hs, max_w);
+    const SearchTrace want = Traced(kHeapSearch, g, q, reference);
+    const SearchTrace got = Traced(kBandQueueSearch, g, q, scratch);
+    const std::string diff = TraceDiff(want, got);
+    if (!diff.empty()) {
+      ADD_FAILURE() << graph << ", query " << i << " (" << q.what
+                    << "): " << diff;
+      return false;
+    }
+    settled += want.settled.size();
+  }
+  EXPECT_GT(settled, static_cast<size_t>(queries)) << graph;
+  return true;
+}
+
+TEST(BandQueueTest, SettlesExactlyAsTheBinaryHeapOnRandomGraphs) {
+  // One scratch for every graph: weight ranges go wide -> narrow -> wide,
+  // so its ring shrinks and grows, and its generation wraps on the way.
+  const WeightKind order[] = {
+      WeightKind::kSpread,   WeightKind::kNearOne,   WeightKind::kSmallInts,
+      WeightKind::kBelowOne, WeightKind::kWithZeros, WeightKind::kEqual,
+      WeightKind::kSpread,   WeightKind::kNearOne};
+  Rng rng(20260);
+  SearchScratch scratch;
+  int graph = 0;
+  for (const WeightKind kind : order) {
+    for (int rep = 0; rep < 2; ++rep, ++graph) {
+      const size_t n = static_cast<size_t>(
+          rep == 0 ? rng.UniformInt(50, 400) : rng.UniformInt(1000, 3000));
+      const CsrRows rows = RandomRows(rng, n, kind);
+      const CompactGraph g = LoadRows(rows, /*mapped=*/graph % 2 == 1);
+      ASSERT_EQ(g.num_nodes(), n);
+      if (graph == 5) scratch.generation = UINT32_MAX - 3;
+      const std::string name = "graph " + std::to_string(graph) +
+                               " (weight kind " +
+                               std::to_string(static_cast<int>(kind)) +
+                               ", " + std::to_string(n) + " nodes)";
+      ASSERT_TRUE(MatchesTheHeap(g, rows, rng, 60, scratch, name));
+    }
+  }
+  EXPECT_LT(scratch.generation, 1000u);  // it wrapped
+}
+
+TEST(BandQueueTest, SettlesExactlyAsTheBinaryHeapOnKielCells) {
+  // A built HABIT graph at r=10, with the default costs and with cost=hops
+  // (every weight 1 per grid step, so priorities tie everywhere), owned and
+  // mapped.
+  eval::ExperimentOptions options;
+  options.scale = 0.2;
+  auto exp = eval::PrepareExperiment("KIEL", options).MoveValue();
+  Rng rng(20261);
+  SearchScratch scratch;
+  for (const core::EdgeCostPolicy cost :
+       {core::EdgeCostPolicy::kHopsThenFrequency,
+        core::EdgeCostPolicy::kHops}) {
+    core::HabitConfig config;
+    config.resolution = 10;
+    config.edge_cost = cost;
+    const CompactGraph owned =
+        core::BuildGraphFromTrips(exp.train_trips, config).MoveValue().Freeze();
+    ASSERT_GT(owned.num_nodes(), 1000u);
+    const CsrRows rows = RowsOf(owned);
+    const CompactGraph mapped = LoadRows(rows, /*mapped=*/true);
+    for (const CompactGraph* g : {&owned, &mapped}) {
+      const std::string name = std::string("KIEL r=10, cost=") +
+                               core::EdgeCostPolicyToString(cost) +
+                               (g->is_mapped() ? ", mapped" : ", owned");
+      ASSERT_TRUE(MatchesTheHeap(*g, rows, rng, 80, scratch, name));
+    }
+  }
+}
+
+TEST(BandQueueTest, RingSizeFollowsTheWeightRange) {
+  // The ring is sized from the graph's weight range, which every way of
+  // making a graph records: HABIT-like weights take 4 bands, a wide range
+  // takes 64, and a scratch keeps the largest ring it has needed.
+  Rng rng(20262);
+  SearchScratch scratch;
+  const auto search_once = [&](const CompactGraph& g) {
+    const SearchSeed seeds[] = {{0, 0.0}};
+    RunSearch(
+        g, seeds, [](NodeIndex) { return false; },
+        [](NodeIndex) { return 0.0; }, scratch);
+  };
+  const CsrRows near_one = RandomRows(rng, 200, WeightKind::kNearOne);
+  for (const bool mapped : {false, true}) {
+    const CompactGraph g = LoadRows(near_one, mapped);
+    EXPECT_GT(g.weight_range().min, 1.0);
+    EXPECT_LE(g.weight_range().max, 1.5);
+    search_once(g);
+    EXPECT_EQ(scratch.buckets.size(), 4u);
+  }
+  const CompactGraph wide =
+      LoadRows(RandomRows(rng, 200, WeightKind::kSpread), false);
+  search_once(wide);
+  EXPECT_EQ(scratch.buckets.size(), 64u);
+  search_once(LoadRows(near_one, false));
+  EXPECT_EQ(scratch.buckets.size(), 64u);
+
+  const CompactGraph frozen = MakeRandomGraph(71, 50, 3).Freeze();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = 0.0;
+  frozen.ForEachEdge([&](NodeId, NodeId, const EdgeAttrs& attrs) {
+    lo = std::min(lo, attrs.weight);
+    hi = std::max(hi, attrs.weight);
+  });
+  EXPECT_EQ(frozen.weight_range().min, lo);
+  EXPECT_EQ(frozen.weight_range().max, hi);
+  EXPECT_EQ(CompactGraph().weight_range().max, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -772,6 +1237,8 @@ TEST(CompactGraphTest, MovedFromGraphIsEmpty) {
   EXPECT_FALSE(a.HasNode(probe));
   EXPECT_EQ(a.IndexOf(probe), kInvalidNodeIndex);
   EXPECT_EQ(b.IndexOf(probe), 0u);
+  EXPECT_EQ(a.weight_range().max, 0.0);
+  EXPECT_GT(b.weight_range().max, 0.0);
 
   CompactGraph c;
   c = std::move(a);  // moving an empty graph is fine too

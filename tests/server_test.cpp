@@ -533,6 +533,40 @@ void ExpectServedMatchesInProcess(
             frame::EncodeResultsFrame(want, Json(), /*batch=*/true));
 }
 
+TEST_F(ServerTest, BinaryFramesWithTimestampsPastTwoToThe53AreRefused) {
+  // A binary frame carries any int64_t timestamp (a JSON one stops at
+  // 2^53), so the bound in ValidateRequest is what keeps INT64_MIN and
+  // INT64_MAX out of the imputer's t_end - t_start.
+  Server server(SmallOptions());
+  const auto serve_binary = [&](const std::vector<api::ImputeRequest>& rs) {
+    Request request;
+    request.op = Request::Op::kImputeBatch;
+    request.model = *load_spec_;
+    request.requests = rs;
+    const std::string response = server.HandleFrame(
+        frame::EncodeRequestFrame(request).substr(frame::kHeaderBytes));
+    auto decoded = frame::DecodeResponsePayload(
+        std::string_view(response).substr(frame::kHeaderBytes));
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return decoded.ok() ? frame::ResponseToJsonLine(decoded.value())
+                        : std::string();
+  };
+  api::ImputeRequest extreme = LaneRequest();
+  extreme.t_start = std::numeric_limits<int64_t>::min();
+  extreme.t_end = std::numeric_limits<int64_t>::max();
+  EXPECT_TRUE(IsErrorWith(serve_binary({LaneRequest(), extreme}),
+                          "InvalidArgument", "requests[1]: gap timestamp"));
+  EXPECT_TRUE(IsErrorWith(serve_binary({LaneRequest(), extreme}),
+                          "InvalidArgument", "2^53"));
+  EXPECT_EQ(server.cache().stats().misses, 0u);  // refused before any load
+
+  // The widest legal span is served, as in process.
+  api::ImputeRequest widest = LaneRequest();
+  widest.t_start = -api::kMaxAbsTimestamp;
+  widest.t_end = api::kMaxAbsTimestamp;
+  ExpectServedMatchesInProcess(server, *load_spec_, {LaneRequest(), widest});
+}
+
 TEST_F(ServerTest, FramesClaimedByThePoolMatchInProcessByteForByte) {
   auto model = api::MakeModel(*load_spec_, {});
   ASSERT_TRUE(model.ok()) << model.status().ToString();
